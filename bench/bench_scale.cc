@@ -1,32 +1,31 @@
 // Scheduler-core scaling benchmark (DESIGN.md section 12): a worker-count
 // sweep measuring simulator throughput (events/sec), placement throughput
-// (placements/sec), and p99/max per-tick wall latency under the two hot-path
-// configurations:
-//
-//   fast — incremental load maintenance + bucketed placement scan + calendar
-//          event queue (the defaults);
-//   seed — per-tick full load rebuild + linear BestWorker scan + binary-heap
-//          queue (the original implementation, kept as the reference).
+// (placements/sec), p99/max per-tick wall latency and the exact placement
+// work counters of the hot path (incremental load cache + bucketed
+// BestWorker scan).
 //
 // The workload is placement-stress by design: many single-stage CPU-only
-// jobs with wide fan-out, so the scheduler's per-task worker scan — O(W) per
-// task in the seed — dominates, rather than the shuffle/flow machinery the
-// two configurations share. Both modes run the same seeded workload and must
-// produce identical schedules (asserted on the shared 300-worker point).
+// jobs with wide fan-out, so the scheduler's per-task worker scan dominates
+// rather than the shuffle/flow machinery.
 //
-// Default (CI smoke): fast@{100,300} + seed@300. --full extends the sweep to
-// fast@{1000,3000,10000} + seed@1000 — the 10k-worker point runs >= 1M
-// monotasks. A machine-readable summary is written to --json-out (default
-// BENCH_scale.json) including `speedup_smoke` (fast/seed events-per-sec at
-// 300 workers — the regression-gated figure, machine-independent because
-// both sides run on the same host) and, with --full, `speedup_1k` and
-// `speedup_10k_vs_seed_1k` (the acceptance figure: the 10k fast run's
-// events/sec over the 1k seed run's).
+// Default (CI smoke): {100, 300} workers, plus a second 300-worker run with
+// the verify_hot_path oracle on (every load refresh checked against a full
+// rescan, every bucketed BestWorker answer against the linear scan); the two
+// 300-worker runs must agree on placements, events, makespan, avg JCT and
+// both scan counters. --full extends the sweep to {1000, 3000, 10000}
+// workers — the 10k-worker point must run >= 1M monotasks. A
+// machine-readable summary is written to --json-out (default
+// BENCH_scale.json) with the gated counters as flat top-level keys.
 //
 //   bench_scale [--seed=N] [--full] [--json-out=FILE] [--baseline=FILE]
 //
-// With --baseline, the run fails (exit 1) when its speedup_smoke drops more
-// than 20% below the baseline file's value.
+// With --baseline, the run fails (exit 1) unless, at 300 workers, `events`
+// and `placed` equal the baseline's and `workers_scanned` and
+// `full_rebuilds` are at most 1.2x the baseline's; with --full also
+// `scanned_per_call_10k` (workers_scanned / bestworker_calls at 10k workers)
+// must be at most 1.2x the baseline's. These are exact work counters, so the
+// gate is machine-independent; wall-clock regressions are gated by the
+// place-3kw workload of the repository benchmark (BENCHMARK.json).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -56,7 +55,7 @@ int Usage(const char* argv0) {
 }
 
 struct Row {
-  std::string mode;  // "fast" | "seed"
+  std::string mode;  // "default" | "verify" (verify_hot_path on)
   int workers = 0;
   int jobs = 0;
   int64_t monotasks = 0;
@@ -114,13 +113,10 @@ Row RunRow(const Options& opt, const std::string& mode, int workers) {
 
   ExperimentConfig config = UrsaEjfConfig();
   config.cluster.num_workers = workers;
-  const bool fast = mode == "fast";
-  config.ursa.incremental_loads = fast;
-  config.ursa.prune_placement = fast;
-  config.queue_kind = fast ? EventQueueKind::kCalendar : EventQueueKind::kBinaryHeap;
+  config.ursa.verify_hot_path = mode == "verify";
   // The candidate budget is a liveness safety valve, not part of the
-  // algorithm; lift it so both modes score every candidate and the sweep
-  // measures the scan itself.
+  // algorithm; lift it so every candidate is scored and the sweep measures
+  // the scan itself.
   config.ursa.max_scored_pairs_per_tick = size_t{1} << 40;
   config.time_limit = 5e6;
   // Tracing captures per-tick wall latency; monotask events are sampled out
@@ -218,6 +214,26 @@ const Row* FindRow(const std::vector<Row>& rows, const char* mode, int workers) 
   return nullptr;
 }
 
+double ScannedPerCall(const Row& r) {
+  return r.bestworker_calls > 0
+             ? static_cast<double>(r.workers_scanned) / static_cast<double>(r.bestworker_calls)
+             : 0.0;
+}
+
+// One baseline-gated counter: `value` must equal the baseline (exact) or
+// stay within 1.2x of it (bounded).
+bool GateCounter(const std::string& baseline, const char* key, double value, bool exact) {
+  double base = 0.0;
+  if (!ReadJsonNumber(baseline, key, &base)) {
+    std::fprintf(stderr, "FAIL: cannot read %s from %s\n", key, baseline.c_str());
+    return false;
+  }
+  const bool ok = exact ? value == base : value <= 1.2 * base;
+  std::fprintf(ok ? stdout : stderr, "%sbaseline gate %s: %.3f vs baseline %.3f (%s)\n",
+               ok ? "" : "FAIL: ", key, value, base, exact ? "must equal" : "<= 1.2x");
+  return ok;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -242,17 +258,16 @@ int main(int argc, char** argv) {
     const char* mode;
     int workers;
   };
-  std::vector<Point> sweep = {{"fast", 100}, {"fast", 300}, {"seed", 300}};
+  std::vector<Point> sweep = {{"default", 100}, {"default", 300}, {"verify", 300}};
   if (opt.full) {
-    sweep.push_back({"fast", 1000});
-    sweep.push_back({"fast", 3000});
-    sweep.push_back({"fast", 10000});
-    sweep.push_back({"seed", 1000});
+    sweep.push_back({"default", 1000});
+    sweep.push_back({"default", 3000});
+    sweep.push_back({"default", 10000});
   }
 
   std::vector<Row> rows;
   Table table({"mode", "workers", "monotasks", "events", "wall s", "events/s",
-               "placements/s", "p99 tick ms", "scanned"});
+               "placements/s", "p99 tick ms", "scanned", "scanned/call"});
   for (const Point& point : sweep) {
     std::printf("running %s @ %d workers...\n", point.mode, point.workers);
     std::fflush(stdout);
@@ -267,94 +282,77 @@ int main(int argc, char** argv) {
         .Cell(r.events_per_sec, 0)
         .Cell(r.placements_per_sec, 0)
         .Cell(r.p99_tick_ms, 3)
-        .Cell(r.workers_scanned);
+        .Cell(r.workers_scanned)
+        .Cell(ScannedPerCall(r), 2);
   }
   table.Print("scheduler-core scaling sweep (seed " + std::to_string(opt.seed) + ")");
 
   bool ok = true;
-  // Mode equivalence: fast and seed at 300 workers ran the same workload and
-  // must produce the same schedule — same placements, same simulated
-  // timeline — or one of the hot-path layers changed behavior.
-  const Row* fast300 = FindRow(rows, "fast", 300);
-  const Row* seed300 = FindRow(rows, "seed", 300);
-  if (fast300 != nullptr && seed300 != nullptr) {
-    if (fast300->placed != seed300->placed || fast300->events != seed300->events ||
-        fast300->makespan != seed300->makespan || fast300->avg_jct != seed300->avg_jct ||
-        fast300->bestworker_calls != seed300->bestworker_calls) {
-      std::fprintf(stderr,
-                   "FAIL: fast and seed diverged at 300 workers "
-                   "(placed %lld/%lld, events %llu/%llu, makespan %.6f/%.6f)\n",
-                   static_cast<long long>(fast300->placed),
-                   static_cast<long long>(seed300->placed),
-                   static_cast<unsigned long long>(fast300->events),
-                   static_cast<unsigned long long>(seed300->events), fast300->makespan,
-                   seed300->makespan);
+  // Oracle equivalence: the verify_hot_path run CHECKs every refresh and
+  // every bucketed answer against the full-rescan reference; on top of
+  // that it must leave the schedule and the scan counters untouched.
+  const Row* run300 = FindRow(rows, "default", 300);
+  const Row* verify300 = FindRow(rows, "verify", 300);
+  if (run300->placed != verify300->placed || run300->events != verify300->events ||
+      run300->makespan != verify300->makespan || run300->avg_jct != verify300->avg_jct ||
+      run300->bestworker_calls != verify300->bestworker_calls ||
+      run300->workers_scanned != verify300->workers_scanned) {
+    std::fprintf(stderr,
+                 "FAIL: the verify_hot_path run diverged at 300 workers "
+                 "(placed %lld/%lld, events %llu/%llu, makespan %.6f/%.6f, "
+                 "scanned %lld/%lld)\n",
+                 static_cast<long long>(run300->placed),
+                 static_cast<long long>(verify300->placed),
+                 static_cast<unsigned long long>(run300->events),
+                 static_cast<unsigned long long>(verify300->events), run300->makespan,
+                 verify300->makespan, static_cast<long long>(run300->workers_scanned),
+                 static_cast<long long>(verify300->workers_scanned));
+    ok = false;
+  }
+
+  const Row* run10k = FindRow(rows, "default", 10000);
+  if (run10k != nullptr) {
+    std::printf("scanned_per_call_10k: %.3f (10k run: %lld monotasks)\n",
+                ScannedPerCall(*run10k), static_cast<long long>(run10k->monotasks));
+    if (run10k->monotasks < 1000000) {
+      std::fprintf(stderr, "FAIL: 10k-worker point ran %lld monotasks (< 1M)\n",
+                   static_cast<long long>(run10k->monotasks));
       ok = false;
     }
   }
-  const double speedup_smoke =
-      (fast300 != nullptr && seed300 != nullptr && seed300->events_per_sec > 0.0)
-          ? fast300->events_per_sec / seed300->events_per_sec
-          : 0.0;
-  std::printf("speedup_smoke (fast/seed events-per-sec @300): %.2fx\n", speedup_smoke);
 
-  double speedup_1k = 0.0;
-  double speedup_10k = 0.0;
-  if (opt.full) {
-    const Row* fast1k = FindRow(rows, "fast", 1000);
-    const Row* fast10k = FindRow(rows, "fast", 10000);
-    const Row* seed1k = FindRow(rows, "seed", 1000);
-    if (fast1k != nullptr && seed1k != nullptr && seed1k->events_per_sec > 0.0) {
-      speedup_1k = fast1k->events_per_sec / seed1k->events_per_sec;
-      std::printf("speedup_1k (fast/seed events-per-sec @1000): %.2fx\n", speedup_1k);
-    }
-    if (fast10k != nullptr && seed1k != nullptr && seed1k->events_per_sec > 0.0) {
-      speedup_10k = fast10k->events_per_sec / seed1k->events_per_sec;
-      std::printf("speedup_10k_vs_seed_1k: %.2fx (10k run: %lld monotasks)\n", speedup_10k,
-                  static_cast<long long>(fast10k->monotasks));
-      if (fast10k->monotasks < 1000000) {
-        std::fprintf(stderr, "FAIL: 10k-worker point ran %lld monotasks (< 1M)\n",
-                     static_cast<long long>(fast10k->monotasks));
-        ok = false;
-      }
-      if (speedup_10k < 10.0) {
-        std::fprintf(stderr,
-                     "FAIL: 10k fast events/sec is %.2fx the 1k seed run (< 10x)\n",
-                     speedup_10k);
-        ok = false;
-      }
-    }
-  }
-
-  // Regression gate: the fast/seed ratio is within-host, so it transfers
-  // across machines in a way raw events/sec does not.
+  // Regression gate on exact work counters: identical schedule, and no
+  // more than 20% extra scan or rebuild work than the committed baseline.
   if (!opt.baseline.empty()) {
-    double base = 0.0;
-    if (!ReadJsonNumber(opt.baseline, "speedup_smoke", &base)) {
-      std::fprintf(stderr, "FAIL: cannot read speedup_smoke from %s\n",
-                   opt.baseline.c_str());
-      ok = false;
-    } else if (speedup_smoke < 0.8 * base) {
-      std::fprintf(stderr,
-                   "FAIL: speedup_smoke %.2fx regressed more than 20%% vs baseline %.2fx\n",
-                   speedup_smoke, base);
-      ok = false;
-    } else {
-      std::printf("baseline gate: %.2fx vs baseline %.2fx (ok)\n", speedup_smoke, base);
+    ok = GateCounter(opt.baseline, "events_300", static_cast<double>(run300->events),
+                     true) && ok;
+    ok = GateCounter(opt.baseline, "placed_300", static_cast<double>(run300->placed),
+                     true) && ok;
+    ok = GateCounter(opt.baseline, "workers_scanned_300",
+                     static_cast<double>(run300->workers_scanned), false) && ok;
+    ok = GateCounter(opt.baseline, "full_rebuilds_300",
+                     static_cast<double>(run300->full_rebuilds), false) && ok;
+    if (run10k != nullptr) {
+      ok = GateCounter(opt.baseline, "scanned_per_call_10k", ScannedPerCall(*run10k),
+                       false) && ok;
     }
   }
 
   std::string json = "{\n  \"bench\": \"scale\",\n";
-  char buf[256];
+  char buf[512];
   std::snprintf(buf, sizeof(buf),
-                "  \"seed\": %llu,\n  \"full\": %s,\n  \"speedup_smoke\": %.3f,\n",
+                "  \"seed\": %llu,\n  \"full\": %s,\n  \"events_300\": %llu,\n"
+                "  \"placed_300\": %lld,\n  \"workers_scanned_300\": %lld,\n"
+                "  \"full_rebuilds_300\": %lld,\n",
                 static_cast<unsigned long long>(opt.seed), opt.full ? "true" : "false",
-                speedup_smoke);
+                static_cast<unsigned long long>(run300->events),
+                static_cast<long long>(run300->placed),
+                static_cast<long long>(run300->workers_scanned),
+                static_cast<long long>(run300->full_rebuilds));
   json += buf;
-  if (opt.full) {
-    std::snprintf(buf, sizeof(buf),
-                  "  \"speedup_1k\": %.3f,\n  \"speedup_10k_vs_seed_1k\": %.3f,\n",
-                  speedup_1k, speedup_10k);
+  if (run10k != nullptr) {
+    std::snprintf(buf, sizeof(buf), "  \"scanned_per_call_10k\": %.3f,\n",
+                  ScannedPerCall(*run10k));
     json += buf;
   }
   std::snprintf(buf, sizeof(buf), "  \"pass\": %s,\n  \"rows\": [\n", ok ? "true" : "false");

@@ -21,7 +21,6 @@
 #include "src/fault/fault_injector.h"
 #include "src/metrics/metrics.h"
 #include "src/scheduler/ursa_scheduler.h"
-#include "src/sim/event_queue.h"
 #include "src/workloads/openloop.h"
 #include "src/workloads/workload.h"
 
@@ -58,10 +57,6 @@ struct ExperimentConfig {
   int trace_sample = 1;
   // Event ring capacity; the oldest events are dropped past this.
   size_t trace_capacity = size_t{1} << 20;
-  // Backing event-queue implementation for the simulator. Both kinds obey
-  // the same (when, id) ordering contract, so this never changes a seeded
-  // run's results — only its wall-clock cost (DESIGN.md section 12).
-  EventQueueKind queue_kind = EventQueueKind::kBinaryHeap;
   // --- Open-loop serving (DESIGN.md section 11). ---
   // When enabled, the `workload` argument of RunExperiment is ignored and
   // jobs arrive continuously from an OpenLoopSource; inter-arrival gaps are

@@ -1,6 +1,7 @@
 #include "src/scheduler/ursa_scheduler.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <limits>
 #include <map>
@@ -30,11 +31,9 @@ UrsaScheduler::UrsaScheduler(Simulator* sim, Cluster* cluster,
   } else {
     score_policy_ = std::move(base_score);
   }
-  prune_effective_ = config_.prune_placement && score_policy_->bucketable();
-  if (config_.incremental_loads) {
-    for (int w = 0; w < cluster_->size(); ++w) {
-      cluster_->worker(w).set_load_listener([this](WorkerId id) { MarkLoadDirty(id); });
-    }
+  bucketed_scan_ = score_policy_->bucketable();
+  for (int w = 0; w < cluster_->size(); ++w) {
+    cluster_->worker(w).set_load_listener([this](WorkerId id) { MarkLoadDirty(id); });
   }
   if (config_.placement != PlacementAlgorithm::kAlgorithm1) {
     packing_ = std::make_unique<PackingState>(cluster, config_.placement);
@@ -924,7 +923,7 @@ void UrsaScheduler::MarkLoadDirty(WorkerId w) {
 const std::vector<WorkerLoad>& UrsaScheduler::CurrentLoads() {
   const double ept = config_.scheduling_interval * config_.ept_slack;
   bool changed = false;
-  if (!config_.incremental_loads || !load_cache_.primed) {
+  if (!load_cache_.primed) {
     load_cache_.loads.assign(static_cast<size_t>(cluster_->size()), WorkerLoad{});
     for (int w = 0; w < cluster_->size(); ++w) {
       ComputeWorkerLoad(cluster_->worker(w), ept,
@@ -945,32 +944,23 @@ const std::vector<WorkerLoad>& UrsaScheduler::CurrentLoads() {
     }
     load_cache_.dirty_list.clear();
     changed = true;
-    if (config_.verify_loads) {
-      // Debug cross-check: the incremental snapshot must be bit-identical to
-      // a from-scratch rebuild; a divergence means a worker mutation path is
-      // missing its MarkLoadChanged() notification.
-      const std::vector<WorkerLoad> reference = SnapshotLoads();
-      CHECK_EQ(reference.size(), load_cache_.loads.size());
-      for (size_t w = 0; w < reference.size(); ++w) {
-        const WorkerLoad& a = reference[w];
-        const WorkerLoad& b = load_cache_.loads[w];
-        bool same =
-            a.free_memory == b.free_memory && a.memory_capacity == b.memory_capacity;
-        for (int r = 0; r < kNumResourceDims; ++r) {
-          same = same && a.d[r] == b.d[r];
-        }
-        for (int r = 0; r < kNumMonotaskResources; ++r) {
-          same = same && a.apt[r] == b.apt[r] && a.rate[r] == b.rate[r];
-        }
-        CHECK(same) << "incremental load for worker " << w
-                    << " diverged from the full rescan (missing dirty mark?)";
-      }
+  }
+  if (config_.verify_hot_path) {
+    // Oracle: the cached loads must be bit-identical to a from-scratch
+    // rebuild on every call, including calls with nothing dirty; a
+    // divergence means a worker mutation path is missing its dirty mark.
+    const std::vector<WorkerLoad> reference = SnapshotLoads();
+    CHECK_EQ(reference.size(), load_cache_.loads.size());
+    for (size_t w = 0; w < reference.size(); ++w) {
+      CHECK(std::memcmp(&reference[w], &load_cache_.loads[w], sizeof(WorkerLoad)) == 0)
+          << "incremental load for worker " << w
+          << " diverged from the full rescan (missing dirty mark?)";
     }
   }
   if (changed) {
     scan_stale_ = true;
   }
-  if (scan_stale_ && prune_effective_) {
+  if (scan_stale_ && bucketed_scan_) {
     RebuildScanOrder();
   }
   return load_cache_.loads;
@@ -1108,6 +1098,23 @@ void UrsaScheduler::CountHeadroom(const std::vector<WorkerLoad>& loads,
   }
 }
 
+bool UrsaScheduler::ScanPick::Resolve(WorkerId avoid, WorkerId* worker,
+                                      double* score) const {
+  if (best != kInvalidId) {
+    *worker = best;
+    *score = best_score;
+    return true;
+  }
+  if (avoid_ok) {
+    // Preference only: if the avoided worker is the sole candidate (e.g. a
+    // one-worker cluster), place there rather than livelock.
+    *worker = avoid;
+    *score = avoid_score;
+    return true;
+  }
+  return false;
+}
+
 bool UrsaScheduler::BestWorker(const TaskUsage& usage, const LoadView& view, double ept,
                                WorkerId* out_worker, double* out_score, int stage_key,
                                WorkerId avoid) const {
@@ -1117,148 +1124,165 @@ bool UrsaScheduler::BestWorker(const TaskUsage& usage, const LoadView& view, dou
   ScoreContext ctx;
   ctx.stage_key = stage_key;
   ctx.residents = colocation_ != nullptr ? &residents_ : nullptr;
+  const bool bucketed = bucketed_scan_ && !scan_order_.empty();
+  const ScanPick pick = bucketed ? BucketedScan(usage, view, ept, ctx, avoid)
+                                 : LinearScan(usage, view, ept, ctx, avoid);
+  counters_.workers_scanned += pick.scanned;
+  const bool found = pick.Resolve(avoid, out_worker, out_score);
+  if (bucketed && config_.verify_hot_path) {
+    // Oracle: the linear scan over the same view must give the same answer,
+    // including the avoid fallback. Its scan count is not recorded.
+    WorkerId ref_worker = kInvalidId;
+    double ref_score = 0.0;
+    const bool ref_found =
+        LinearScan(usage, view, ept, ctx, avoid).Resolve(avoid, &ref_worker, &ref_score);
+    CHECK(found == ref_found &&
+          (!found || (*out_worker == ref_worker &&
+                      std::bit_cast<uint64_t>(*out_score) ==
+                          std::bit_cast<uint64_t>(ref_score))))
+        << "bucketed BestWorker picked " << (found ? *out_worker : kInvalidId) << " ("
+        << (found ? *out_score : 0.0) << "), linear scan picked "
+        << (ref_found ? ref_worker : kInvalidId) << " (" << ref_score << "), avoid "
+        << avoid;
+  }
+  return found;
+}
+
+UrsaScheduler::ScanPick UrsaScheduler::BucketedScan(const TaskUsage& usage,
+                                                    const LoadView& view, double ept,
+                                                    const ScoreContext& ctx,
+                                                    WorkerId avoid) const {
   const PlacementScorePolicy& policy = *score_policy_;
-  double best_score = -1.0;
-  WorkerId best = kInvalidId;
-  // The avoided worker's own best score, tracked in the same pass; consulted
-  // only when no other worker qualifies.
-  double avoid_score = -1.0;
-  bool avoid_ok = false;
-  if (prune_effective_ && !scan_order_.empty()) {
-    // Pruned scan, pass 1: buckets in (upper bound desc, min worker asc)
-    // order. Fresh members of a bucket share one bit-identical load, so one
-    // ScoreWorker call scores them all and min-index-wins picks the smallest
-    // fresh id — exactly what the seed's ascending linear scan would do. A
-    // dimension the task needs with headroom somewhere now had headroom at
-    // scan-build time too (loads only worsen within a tick), so a zero mask
-    // bit proves the seed loop would skip every member as blocked; the same
-    // argument covers d_mem (failed workers prune here in O(1)).
-    uint32_t required = 1u << kNumMonotaskResources;  // d_mem > 0, always.
-    for (int r = 0; r < kNumMonotaskResources; ++r) {
-      if (!config_.consider_network &&
-          static_cast<ResourceType>(r) == ResourceType::kNetwork) {
+  ScanPick pick;
+  // Pass 1: buckets in (upper bound desc, min worker asc) order. Fresh
+  // members of a bucket share one bit-identical load, so one ScoreWorker
+  // call scores them all and min-index-wins picks the smallest fresh id —
+  // exactly what the ascending linear scan would do. A dimension the task
+  // needs with headroom somewhere now had headroom at scan-build time too
+  // (loads only worsen within a tick), so a zero mask bit proves the linear
+  // scan would skip every member as blocked; the same argument covers d_mem
+  // (failed workers prune here in O(1)).
+  uint32_t required = 1u << kNumMonotaskResources;  // d_mem > 0, always.
+  for (int r = 0; r < kNumMonotaskResources; ++r) {
+    if (!config_.consider_network &&
+        static_cast<ResourceType>(r) == ResourceType::kNetwork) {
+      continue;
+    }
+    if (usage.bytes[r] > 0.0 && view.headroom[r] > 0) {
+      required |= 1u << r;
+    }
+  }
+  for (const ScanBucket& bucket : scan_order_) {
+    if (pick.best != kInvalidId && bucket.ub < pick.best_score) {
+      break;  // No later bucket can beat or tie the current best.
+    }
+    ++pick.scanned;
+    if ((bucket.mask & required) != required) {
+      continue;
+    }
+    // Smallest member still on its tick-start load; overlay-modified
+    // members are scored individually in pass 2.
+    WorkerId fresh = kInvalidId;
+    bool avoid_fresh = false;
+    for (const WorkerId id : bucket.members) {
+      if (view.slot != nullptr && (*view.slot)[static_cast<size_t>(id)] >= 0) {
         continue;
       }
-      if (usage.bytes[r] > 0.0 && view.headroom[r] > 0) {
-        required |= 1u << r;
+      if (id == avoid) {
+        avoid_fresh = true;
+        continue;
       }
+      fresh = id;
+      break;
     }
-    for (const ScanBucket& bucket : scan_order_) {
-      if (best != kInvalidId && bucket.ub < best_score) {
-        break;  // No later bucket can beat or tie the current best.
+    if (fresh == kInvalidId && !avoid_fresh) {
+      continue;
+    }
+    const WorkerId probe = fresh != kInvalidId ? fresh : avoid;
+    double score = 0.0;
+    if (!policy.Score(usage, (*view.base)[static_cast<size_t>(probe)], probe, ept,
+                      view.headroom, config_.consider_network, ctx, &score)) {
+      continue;
+    }
+    if (avoid_fresh) {
+      pick.avoid_ok = true;
+      pick.avoid_score = score;
+    }
+    if (fresh != kInvalidId &&
+        (score > pick.best_score || (score == pick.best_score && fresh < pick.best))) {
+      pick.best_score = score;
+      pick.best = fresh;
+    }
+  }
+  // Pass 2: overlay-modified workers, grouped by identical current load
+  // just like pass 1 — one ScoreWorker per distinct modified load, however
+  // many workers this tick's placements have already touched. Bucket ubs
+  // and masks are exact (workers change buckets on every placement), so
+  // the same skip arguments apply. The avoided worker only needs explicit
+  // tracking when it is the bucket minimum: any other member qualifies
+  // with the identical score, so the avoid fallback would never fire.
+  if (view.mods != nullptr) {
+    for (const OverlayBucket& bucket : *view.mods) {
+      if (bucket.members.empty()) {
+        continue;  // Tombstone: every member moved to another load.
       }
-      ++counters_.workers_scanned;
+      if (pick.best != kInvalidId && bucket.ub < pick.best_score) {
+        continue;
+      }
+      ++pick.scanned;
       if ((bucket.mask & required) != required) {
         continue;
       }
-      // Smallest member still on its tick-start load; overlay-modified
-      // members are scored individually in pass 2.
-      WorkerId fresh = kInvalidId;
-      bool avoid_fresh = false;
-      for (const WorkerId id : bucket.members) {
-        if (view.slot != nullptr && (*view.slot)[static_cast<size_t>(id)] >= 0) {
-          continue;
-        }
-        if (id == avoid) {
-          avoid_fresh = true;
-          continue;
-        }
-        fresh = id;
-        break;
+      WorkerId cand = bucket.members.front();
+      bool avoid_here = false;
+      if (cand == avoid) {
+        avoid_here = true;
+        cand = bucket.members.size() > 1 ? bucket.members[1] : kInvalidId;
       }
-      if (fresh == kInvalidId && !avoid_fresh) {
-        continue;
-      }
-      const WorkerId probe = fresh != kInvalidId ? fresh : avoid;
       double score = 0.0;
-      if (!policy.Score(usage, (*view.base)[static_cast<size_t>(probe)], probe, ept,
+      if (!policy.Score(usage, bucket.load, cand != kInvalidId ? cand : avoid, ept,
                         view.headroom, config_.consider_network, ctx, &score)) {
         continue;
       }
-      if (avoid_fresh) {
-        avoid_ok = true;
-        avoid_score = score;
+      if (avoid_here) {
+        pick.avoid_ok = true;
+        pick.avoid_score = score;
       }
-      if (fresh != kInvalidId &&
-          (score > best_score || (score == best_score && fresh < best))) {
-        best_score = score;
-        best = fresh;
-      }
-    }
-    // Pass 2: overlay-modified workers, grouped by identical current load
-    // just like pass 1 — one ScoreWorker per distinct modified load, however
-    // many workers this tick's placements have already touched. Bucket ubs
-    // and masks are exact (workers change buckets on every placement), so
-    // the same skip arguments apply. The avoided worker only needs explicit
-    // tracking when it is the bucket minimum: any other member qualifies
-    // with the identical score, so the avoid fallback would never fire.
-    if (view.mods != nullptr) {
-      for (const OverlayBucket& bucket : *view.mods) {
-        if (bucket.members.empty()) {
-          continue;  // Tombstone: every member moved to another load.
-        }
-        if (best != kInvalidId && bucket.ub < best_score) {
-          continue;
-        }
-        ++counters_.workers_scanned;
-        if ((bucket.mask & required) != required) {
-          continue;
-        }
-        WorkerId cand = bucket.members.front();
-        bool avoid_here = false;
-        if (cand == avoid) {
-          avoid_here = true;
-          cand = bucket.members.size() > 1 ? bucket.members[1] : kInvalidId;
-        }
-        double score = 0.0;
-        if (!policy.Score(usage, bucket.load, cand != kInvalidId ? cand : avoid, ept,
-                          view.headroom, config_.consider_network, ctx, &score)) {
-          continue;
-        }
-        if (avoid_here) {
-          avoid_ok = true;
-          avoid_score = score;
-        }
-        if (cand != kInvalidId &&
-            (score > best_score || (score == best_score && cand < best))) {
-          best_score = score;
-          best = cand;
-        }
-      }
-    }
-  } else {
-    const size_t n = view.base->size();
-    for (size_t w = 0; w < n; ++w) {
-      ++counters_.workers_scanned;
-      double score = 0.0;
-      if (!policy.Score(usage, view.at(w), static_cast<WorkerId>(w), ept, view.headroom,
-                        config_.consider_network, ctx, &score)) {
-        continue;
-      }
-      if (static_cast<WorkerId>(w) == avoid) {
-        avoid_ok = true;
-        avoid_score = score;
-        continue;
-      }
-      if (score > best_score) {
-        best_score = score;
-        best = static_cast<WorkerId>(w);
+      if (cand != kInvalidId &&
+          (score > pick.best_score || (score == pick.best_score && cand < pick.best))) {
+        pick.best_score = score;
+        pick.best = cand;
       }
     }
   }
-  if (best == kInvalidId) {
-    if (avoid_ok) {
-      // Preference only: if the avoided worker is the sole candidate (e.g. a
-      // one-worker cluster), place there rather than livelock.
-      *out_worker = avoid;
-      *out_score = avoid_score;
-      return true;
+  return pick;
+}
+
+UrsaScheduler::ScanPick UrsaScheduler::LinearScan(const TaskUsage& usage,
+                                                  const LoadView& view, double ept,
+                                                  const ScoreContext& ctx,
+                                                  WorkerId avoid) const {
+  const PlacementScorePolicy& policy = *score_policy_;
+  ScanPick pick;
+  const size_t n = view.base->size();
+  for (size_t w = 0; w < n; ++w) {
+    ++pick.scanned;
+    double score = 0.0;
+    if (!policy.Score(usage, view.at(w), static_cast<WorkerId>(w), ept, view.headroom,
+                      config_.consider_network, ctx, &score)) {
+      continue;
     }
-    return false;
+    if (static_cast<WorkerId>(w) == avoid) {
+      pick.avoid_ok = true;
+      pick.avoid_score = score;
+      continue;
+    }
+    if (score > pick.best_score) {
+      pick.best_score = score;
+      pick.best = static_cast<WorkerId>(w);
+    }
   }
-  *out_worker = best;
-  *out_score = best_score;
-  return true;
+  return pick;
 }
 
 void UrsaScheduler::ApplyToLoad(const TaskUsage& usage, double ept, WorkerLoad* load,

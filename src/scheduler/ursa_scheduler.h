@@ -93,22 +93,16 @@ struct UrsaSchedulerConfig {
   // section 14). Disabled by default: every send stays a synchronous direct
   // call and seeded runs are byte-identical to the pre-message-layer paths.
   ControlPlaneConfig ctrl;
-  // --- Hot-path scaling (DESIGN.md section 12). ---
-  // Maintain the per-worker load snapshot incrementally from worker dirty
-  // notifications instead of rebuilding every worker at every refresh point.
-  // Placement results are bit-identical either way; only the cost changes.
-  bool incremental_loads = true;
-  // Scan BestWorker candidates in score-upper-bound order with an early
-  // cutoff and per-resource headroom masks instead of the full linear scan.
-  // Exact: the chosen worker and score match the linear scan bit for bit.
-  bool prune_placement = true;
-  // Cross-check every incremental refresh against a full rescan (CHECK on a
-  // mismatch). Costs one full snapshot per refresh; defaults on in debug
-  // builds only.
+  // --- Hot-path oracle (DESIGN.md section 12). ---
+  // Cross-checks the hot path against its full-rescan reference: every
+  // CurrentLoads() call is compared bitwise with SnapshotLoads(), and every
+  // bucketed BestWorker answer with the linear scan over the same view
+  // (CHECK on a mismatch). Costs one O(W) rescan per call; defaults on in
+  // debug builds only.
 #ifndef NDEBUG
-  bool verify_loads = true;
+  bool verify_hot_path = true;
 #else
-  bool verify_loads = false;
+  bool verify_hot_path = false;
 #endif
   // Guard against pathological candidate explosions in a single tick: at
   // most this many (task, worker) pairs are scored per placement pass. Jobs
@@ -359,17 +353,16 @@ class UrsaScheduler : public JobManagerListener {
     }
   };
 
-  // Full-rescan load snapshot: the reference implementation, the
-  // incremental path's cross-check, and the incremental_loads=false
-  // fallback.
+  // Full-rescan load snapshot: the reference the incremental cache is
+  // checked against under verify_hot_path.
   std::vector<WorkerLoad> SnapshotLoads() const;
   // The per-worker body of SnapshotLoads; `load` must be zero-initialized.
   void ComputeWorkerLoad(const Worker& worker, double ept, WorkerLoad* load) const;
   // Worker load-listener target: marks one cached worker load stale.
   void MarkLoadDirty(WorkerId w);
   // Brings the cached loads up to date — drains the dirty set, or rebuilds
-  // everything when incremental maintenance is off or the cache is cold —
-  // and rebuilds the pruning scan order when anything changed.
+  // everything when the cache is cold — and rebuilds the bucketed scan order
+  // when anything changed.
   const std::vector<WorkerLoad>& CurrentLoads();
   // Rebuilds scan_order_ (upper bound desc, min worker asc) from cached
   // loads, grouping bit-identical loads into one bucket each.
@@ -407,6 +400,24 @@ class UrsaScheduler : public JobManagerListener {
   bool BestWorker(const TaskUsage& usage, const LoadView& view, double ept,
                   WorkerId* out_worker, double* out_score, int stage_key = -1,
                   WorkerId avoid = kInvalidId) const;
+  // One scan's outcome before the avoid fallback is applied.
+  struct ScanPick {
+    WorkerId best = kInvalidId;
+    double best_score = -1.0;
+    bool avoid_ok = false;  // The avoided worker qualified, at avoid_score.
+    double avoid_score = -1.0;
+    int64_t scanned = 0;  // Scan entries examined.
+    // BestWorker's answer: the best worker, else the avoided one if it
+    // qualified; false when no worker qualifies.
+    bool Resolve(WorkerId avoid, WorkerId* worker, double* score) const;
+  };
+  // The two BestWorker scans. The bucketed scan needs a bucketable policy
+  // and a built scan order; the linear scan serves every policy and is the
+  // bucketed scan's verify_hot_path oracle.
+  ScanPick BucketedScan(const TaskUsage& usage, const LoadView& view, double ept,
+                        const ScoreContext& ctx, WorkerId avoid) const;
+  ScanPick LinearScan(const TaskUsage& usage, const LoadView& view, double ept,
+                      const ScoreContext& ctx, WorkerId avoid) const;
   // Applies one placement to a worker's load and maintains the headroom
   // counters across d_r > 0 -> == 0 transitions.
   static void ApplyToLoad(const TaskUsage& usage, double ept, WorkerLoad* load,
@@ -434,9 +445,9 @@ class UrsaScheduler : public JobManagerListener {
   // Per-worker resident stage keys, rebuilt by ObserveColocation every tick
   // (empty when learning is off). Sim-thread only.
   std::vector<std::vector<int>> residents_;
-  // prune_placement is only sound for bucketable score policies; resolved
-  // once at construction.
-  bool prune_effective_ = false;
+  // The bucketed BestWorker scan is only sound for bucketable score
+  // policies; resolved once at construction.
+  bool bucketed_scan_ = false;
   // Non-null when heartbeat detection is enabled.
   std::unique_ptr<FailureDetector> detector_;
   // Non-null when speculative execution is enabled; shared by all job

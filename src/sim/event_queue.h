@@ -1,27 +1,19 @@
 // Priority queue of timestamped events with stable ordering and O(log n)
-// lazy cancellation. Ties at the same timestamp fire in scheduling order,
-// which makes simulations deterministic for a fixed seed.
+// lazy cancellation. Ties at the same timestamp fire in scheduling order
+// (ascending EventId), which makes simulations deterministic for a fixed
+// seed. DESIGN.md section 12 records why the binary heap is the only
+// implementation.
 //
-// `EventQueue` is the abstract interface; two implementations share its
-// contract bit-for-bit (same Push/Cancel/Pop semantics, ties broken by
-// ascending EventId):
-//   * HeapEventQueue — binary heap, the paper-scale default.
-//   * CalendarEventQueue (calendar_queue.h) — bucketed calendar queue with
-//     amortized O(1) operations for the 10k-worker regime.
-// MakeEventQueue() selects one by EventQueueKind; DESIGN.md section 12
-// documents the data structures and the determinism argument.
-//
-// Implementations are internally synchronized (DESIGN.md section 10): every
-// public method acquires the implementation's own mutex, and the lock is
-// never held while an event callback runs (Pop() hands the callback to the
-// caller). The event queue is the innermost lock of the repo-wide hierarchy,
-// so any component may call into it while holding its own lock.
+// The queue is internally synchronized (DESIGN.md section 10): every public
+// method acquires its own mutex, and the lock is never held while an event
+// callback runs (Pop() hands the callback to the caller). The event queue is
+// the innermost lock of the repo-wide hierarchy, so any component may call
+// into it while holding its own lock.
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -33,12 +25,11 @@ namespace ursa {
 using EventId = uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
 
-// Which concrete EventQueue a simulator drains (selected via config/CLI).
-enum class EventQueueKind {
-  kBinaryHeap,
-  kCalendar,
-};
-
+// Binary heap of (when, id) entries. Cancellation is lazy (tombstones
+// dropped when they surface at the heap top) but bounded: whenever
+// tombstones outnumber live events the whole heap is compacted in one pass,
+// so cancel-heavy workloads (speculation + chaos) keep
+// StoredCount() < 2 * PendingCount() + 1.
 class EventQueue {
  public:
   using Callback = std::function<void()>;
@@ -49,47 +40,27 @@ class EventQueue {
     Callback cb;
   };
 
-  virtual ~EventQueue() = default;
-
   // Enqueues `cb` to fire at absolute time `when`. Returns a handle usable
   // with Cancel(). Ids increase monotonically from 1 across the queue's
   // lifetime; equal-time events fire in ascending-id (FIFO) order.
-  virtual EventId Push(double when, Callback cb) = 0;
+  EventId Push(double when, Callback cb) EXCLUDES(mu_);
 
   // Cancels a pending event. Cancelling an already-fired or already-cancelled
   // event is a no-op; returns whether the event was actually pending.
-  virtual bool Cancel(EventId id) = 0;
+  bool Cancel(EventId id) EXCLUDES(mu_);
 
-  virtual bool Empty() const = 0;
-  virtual double NextTime() const = 0;
+  bool Empty() const EXCLUDES(mu_);
+  double NextTime() const EXCLUDES(mu_);
 
   // Removes and returns the earliest event. Must not be called when Empty().
-  virtual Fired Pop() = 0;
+  Fired Pop() EXCLUDES(mu_);
 
   // Live (non-cancelled) events still pending.
-  virtual size_t PendingCount() const = 0;
+  size_t PendingCount() const EXCLUDES(mu_);
 
   // Entries physically stored, including cancelled tombstones not yet
   // compacted. Tests use this to pin down tombstone-growth bounds.
-  virtual size_t StoredCount() const = 0;
-};
-
-std::unique_ptr<EventQueue> MakeEventQueue(EventQueueKind kind);
-const char* EventQueueKindName(EventQueueKind kind);
-
-// Binary-heap implementation. Cancellation is lazy (tombstones dropped when
-// they surface at the heap top) but bounded: whenever tombstones outnumber
-// live events the whole heap is compacted in one pass, so cancel-heavy
-// workloads (speculation + chaos) keep StoredCount() < 2 * PendingCount() + 1.
-class HeapEventQueue final : public EventQueue {
- public:
-  EventId Push(double when, Callback cb) override EXCLUDES(mu_);
-  bool Cancel(EventId id) override EXCLUDES(mu_);
-  bool Empty() const override EXCLUDES(mu_);
-  double NextTime() const override EXCLUDES(mu_);
-  Fired Pop() override EXCLUDES(mu_);
-  size_t PendingCount() const override EXCLUDES(mu_);
-  size_t StoredCount() const override EXCLUDES(mu_);
+  size_t StoredCount() const EXCLUDES(mu_);
 
  private:
   struct Entry {

@@ -108,13 +108,19 @@ TEST(ThreadedSmoke, MonotaskQueueConcurrentPushPop) {
   constexpr int kProducers = 4;
   constexpr int kConsumers = 4;
   constexpr int kPerProducer = kIters;
+  constexpr int64_t kTotal = static_cast<int64_t>(kProducers) * kPerProducer;
+  // Claim protocol: a producer bumps `available` after each Push, and a
+  // consumer pops only after decrementing it from a positive value. Every
+  // claim is therefore backed by an item that is already queued and that no
+  // other consumer has claimed, so Pop() never sees an empty queue.
+  std::atomic<int64_t> available{0};
   std::atomic<int64_t> popped{0};
   std::atomic<double> popped_bytes{0.0};
 
   std::vector<std::thread> threads;
   threads.reserve(kProducers + kConsumers);
   for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&queue, p] {
+    threads.emplace_back([&queue, &available, p] {
       for (int i = 0; i < kPerProducer; ++i) {
         RunnableMonotask mt;
         mt.job = static_cast<JobId>(p);
@@ -124,28 +130,23 @@ TEST(ThreadedSmoke, MonotaskQueueConcurrentPushPop) {
         mt.job_priority = static_cast<double>(p);
         mt.intra_key = static_cast<double>(i % 16);
         queue.Push(std::move(mt));
+        available.fetch_add(1, std::memory_order_release);
       }
     });
   }
   for (int c = 0; c < kConsumers; ++c) {
     threads.emplace_back([&] {
-      while (popped.load(std::memory_order_relaxed) <
-             static_cast<int64_t>(kProducers) * kPerProducer) {
-        if (queue.Empty()) {
+      while (popped.load(std::memory_order_relaxed) < kTotal) {
+        int64_t avail = available.load(std::memory_order_acquire);
+        if (avail == 0) {
           std::this_thread::yield();
           continue;
         }
-        // Empty() then Pop() races with other consumers; MonotaskQueue must
-        // stay internally consistent, so a consumer only pops after winning
-        // a claim on the counter.
-        const int64_t claim = popped.fetch_add(1, std::memory_order_relaxed);
-        if (claim >= static_cast<int64_t>(kProducers) * kPerProducer) {
-          popped.fetch_sub(1, std::memory_order_relaxed);
-          break;
+        if (!available.compare_exchange_weak(avail, avail - 1,
+                                             std::memory_order_acq_rel)) {
+          continue;
         }
-        while (queue.Empty()) {
-          std::this_thread::yield();
-        }
+        popped.fetch_add(1, std::memory_order_relaxed);
         const RunnableMonotask mt = queue.Pop();
         double expected = popped_bytes.load(std::memory_order_relaxed);
         while (!popped_bytes.compare_exchange_weak(expected, expected + mt.input_bytes)) {
@@ -158,8 +159,7 @@ TEST(ThreadedSmoke, MonotaskQueueConcurrentPushPop) {
   }
   EXPECT_TRUE(queue.Empty());
   EXPECT_DOUBLE_EQ(queue.queued_bytes(), 0.0);
-  EXPECT_DOUBLE_EQ(popped_bytes.load(),
-                   8.0 * static_cast<double>(kProducers) * kPerProducer);
+  EXPECT_DOUBLE_EQ(popped_bytes.load(), 8.0 * static_cast<double>(kTotal));
 }
 
 TEST(ThreadedSmoke, MonotaskQueueReprioritizeUnderContention) {
@@ -190,7 +190,8 @@ TEST(ThreadedSmoke, MonotaskQueueReprioritizeUnderContention) {
   EXPECT_DOUBLE_EQ(queue.queued_bytes(), 0.0);
 }
 
-void EventQueuePushCancelPopImpl(EventQueue& queue) {
+TEST(ThreadedSmoke, EventQueuePushCancelPop) {
+  EventQueue queue;
   std::atomic<int64_t> fired{0};
   std::atomic<int64_t> pushed{0};
   std::atomic<int64_t> cancelled{0};
@@ -219,15 +220,8 @@ void EventQueuePushCancelPopImpl(EventQueue& queue) {
   EXPECT_EQ(queue.PendingCount(), 0u);
 }
 
-TEST(ThreadedSmoke, EventQueuePushCancelPop) {
-  for (const auto kind : {EventQueueKind::kBinaryHeap, EventQueueKind::kCalendar}) {
-    SCOPED_TRACE(EventQueueKindName(kind));
-    auto queue = MakeEventQueue(kind);
-    EventQueuePushCancelPopImpl(*queue);
-  }
-}
-
-void EventQueueConcurrentCancelImpl(EventQueue& queue) {
+TEST(ThreadedSmoke, EventQueueConcurrentCancelOfSameEvents) {
+  EventQueue queue;
   std::vector<EventId> ids;
   ids.reserve(1024);
   for (int i = 0; i < 1024; ++i) {
@@ -247,14 +241,6 @@ void EventQueueConcurrentCancelImpl(EventQueue& queue) {
     (void)queue.Pop();
   }
   EXPECT_EQ(queue.PendingCount(), 0u);
-}
-
-TEST(ThreadedSmoke, EventQueueConcurrentCancelOfSameEvents) {
-  for (const auto kind : {EventQueueKind::kBinaryHeap, EventQueueKind::kCalendar}) {
-    SCOPED_TRACE(EventQueueKindName(kind));
-    auto queue = MakeEventQueue(kind);
-    EventQueueConcurrentCancelImpl(*queue);
-  }
 }
 
 TEST(ThreadedSmoke, FaultStatsConcurrentRecording) {
