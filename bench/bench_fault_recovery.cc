@@ -18,15 +18,12 @@
 // over clean. It is simulated time, so it is machine-independent and only
 // moves when scheduling or recovery behavior changes.
 //
-//   bench_fault_recovery [--seed=N] [--full] [--json-out=FILE]
-//                        [--baseline=FILE]
+// Flags: the table in main(); any unknown flag (--help, say) prints it.
 //
 // Default (CI smoke): 3 fault seeds on 40 jobs. --full: 5 seeds on 60 jobs.
 // With --baseline, the run fails (exit 1) when jct_ratio_journal rises more
 // than 20% above the baseline file's value (higher ratio = worse recovery).
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -44,12 +41,6 @@ struct Options {
   std::string json_out = "BENCH_fault.json";
   std::string baseline;
 };
-
-int Usage(const char* argv0) {
-  std::fprintf(stderr, "usage: %s [--seed=N] [--full] [--json-out=FILE] [--baseline=FILE]\n",
-               argv0);
-  return 2;
-}
 
 struct Row {
   uint64_t fault_seed = 0;
@@ -127,63 +118,29 @@ Row RunRow(const Workload& workload, uint64_t fault_seed, bool journaled,
   return row;
 }
 
-void AppendRowJson(std::string* out, const Row& r) {
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "    {\"fault_seed\": %llu, \"mode\": \"%s\", \"makespan\": %.3f, "
-                "\"avg_jct\": %.3f, \"jct_ratio\": %.4f, \"sched_crashes\": %d, "
-                "\"sched_recoveries\": %d, \"recovery_latency\": %.3f, "
-                "\"checkpoints\": %d, \"journal_records\": %lld, "
-                "\"redispatched\": %d, \"fenced\": %d, \"retransmits\": %d, "
-                "\"full_restarts\": %d, \"tasks_reset\": %d}",
-                static_cast<unsigned long long>(r.fault_seed), r.mode.c_str(), r.makespan,
-                r.avg_jct, r.jct_ratio, r.sched_crashes, r.sched_recoveries,
-                r.recovery_latency, r.checkpoints, r.journal_records, r.redispatched,
-                r.fenced, r.retransmits, r.full_restarts, r.tasks_reset);
-  *out += buf;
-}
-
-// Pulls `"key": <number>` out of a flat JSON file without a JSON library.
-bool ReadJsonNumber(const std::string& path, const char* key, double* out) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) {
-    return false;
-  }
-  std::string text;
-  char chunk[4096];
-  size_t n = 0;
-  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    text.append(chunk, n);
-  }
-  std::fclose(f);
-  const std::string needle = std::string("\"") + key + "\":";
-  const size_t pos = text.find(needle);
-  if (pos == std::string::npos) {
-    return false;
-  }
-  *out = std::strtod(text.c_str() + pos + needle.size(), nullptr);
-  return true;
+std::string RowJson(const Row& r) {
+  return StrFormat("    {\"fault_seed\": %llu, \"mode\": \"%s\", \"makespan\": %.3f, "
+                   "\"avg_jct\": %.3f, \"jct_ratio\": %.4f, \"sched_crashes\": %d, "
+                   "\"sched_recoveries\": %d, \"recovery_latency\": %.3f, "
+                   "\"checkpoints\": %d, \"journal_records\": %lld, "
+                   "\"redispatched\": %d, \"fenced\": %d, \"retransmits\": %d, "
+                   "\"full_restarts\": %d, \"tasks_reset\": %d}",
+                   static_cast<unsigned long long>(r.fault_seed), r.mode.c_str(), r.makespan,
+                   r.avg_jct, r.jct_ratio, r.sched_crashes, r.sched_recoveries,
+                   r.recovery_latency, r.checkpoints, r.journal_records, r.redispatched,
+                   r.fenced, r.retransmits, r.full_restarts, r.tasks_reset);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--seed=", 7) == 0) {
-      opt.seed = std::strtoull(arg + 7, nullptr, 10);
-    } else if (std::strcmp(arg, "--full") == 0) {
-      opt.full = true;
-    } else if (std::strncmp(arg, "--json-out=", 11) == 0) {
-      opt.json_out = arg + 11;
-    } else if (std::strncmp(arg, "--baseline=", 11) == 0) {
-      opt.baseline = arg + 11;
-    } else {
-      std::fprintf(stderr, "unknown flag '%s'\n", arg);
-      return Usage(argv[0]);
-    }
-  }
+  FlagTable("bench_fault_recovery",
+            {{"seed", &opt.seed, "first fault seed of the sweep"},
+             {"full", &opt.full, "5 fault seeds on 60 jobs instead of 3 on 40"},
+             {"json-out", &opt.json_out, "summary JSON path"},
+             {"baseline", &opt.baseline, "gate jct_ratio_journal against this JSON"}})
+      .Parse(argc, argv);
 
   const Workload workload = MakeFaultWorkload(opt);
   std::printf("running clean baseline (%zu jobs)...\n", workload.jobs.size());
@@ -273,46 +230,18 @@ int main(int argc, char** argv) {
   // Regression gate: jct_ratio_journal is simulated time over simulated
   // time, so it transfers across machines exactly.
   if (!opt.baseline.empty()) {
-    double base = 0.0;
-    if (!ReadJsonNumber(opt.baseline, "jct_ratio_journal", &base)) {
-      std::fprintf(stderr, "FAIL: cannot read jct_ratio_journal from %s\n",
-                   opt.baseline.c_str());
-      ok = false;
-    } else if (ratio_journal > 1.2 * base) {
-      std::fprintf(stderr,
-                   "FAIL: jct_ratio_journal %.4fx regressed more than 20%% vs "
-                   "baseline %.4fx\n",
-                   ratio_journal, base);
-      ok = false;
-    } else {
-      std::printf("baseline gate: %.4fx vs baseline %.4fx (ok)\n", ratio_journal, base);
-    }
+    ok = BaselineGate(opt.baseline, "jct_ratio_journal", ratio_journal, 0, 1.2) && ok;
   }
 
-  std::string json = "{\n  \"bench\": \"fault\",\n";
-  char buf[320];
-  std::snprintf(buf, sizeof(buf),
-                "  \"seed\": %llu,\n  \"full\": %s,\n  \"clean_avg_jct\": %.3f,\n"
-                "  \"jct_ratio_journal\": %.4f,\n  \"jct_ratio_restart\": %.4f,\n"
-                "  \"mean_recovery_latency\": %.3f,\n  \"mean_redispatched\": %.1f,\n",
-                static_cast<unsigned long long>(opt.seed), opt.full ? "true" : "false",
-                clean_jct, ratio_journal, ratio_restart, mean_recovery, mean_redispatched);
-  json += buf;
-  std::snprintf(buf, sizeof(buf), "  \"pass\": %s,\n  \"rows\": [\n", ok ? "true" : "false");
-  json += buf;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    AppendRowJson(&json, rows[i]);
-    json += i + 1 < rows.size() ? ",\n" : "\n";
-  }
-  json += "  ]\n}\n";
-
-  std::FILE* f = std::fopen(opt.json_out.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", opt.json_out.c_str());
+  const std::string fields = StrFormat(
+      "  \"bench\": \"fault\",\n  \"seed\": %llu,\n  \"full\": %s,\n"
+      "  \"clean_avg_jct\": %.3f,\n  \"jct_ratio_journal\": %.4f,\n"
+      "  \"jct_ratio_restart\": %.4f,\n  \"mean_recovery_latency\": %.3f,\n"
+      "  \"mean_redispatched\": %.1f,\n",
+      static_cast<unsigned long long>(opt.seed), opt.full ? "true" : "false", clean_jct,
+      ratio_journal, ratio_restart, mean_recovery, mean_redispatched);
+  if (!WriteBenchJson(opt.json_out, fields, ok, rows, RowJson)) {
     return 1;
   }
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  std::printf("%s written (%s)\n", opt.json_out.c_str(), ok ? "pass" : "FAIL");
   return ok ? 0 : 1;
 }

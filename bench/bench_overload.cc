@@ -20,12 +20,9 @@
 //   * determinism: re-running the top multiple with the same seed produces
 //     a byte-identical JSON point.
 //
-//   bench_overload [--seed=N] [--jobs=N] [--workers=N] [--mults=CSV]
-//                  [--max-pending=N] [--shed-policy=newest|largest|tier]
-//                  [--json-out=FILE] [--trace-out=FILE] [--chaos]
+// Flags: the table in main(); any unknown flag (--help, say) prints it.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -46,20 +43,11 @@ struct Options {
   int workers = 8;
   int max_pending = 32;
   std::string shed_policy = "tier";
-  std::vector<double> mults = {0.5, 1.0, 1.5, 2.0, 3.0};
+  std::string mults = "0.5,1,1.5,2,3";  // Multiples of the saturation rate.
   std::string json_out = "BENCH_overload.json";
   std::string trace_out;
   bool chaos = false;
 };
-
-int Usage(const char* argv0) {
-  std::fprintf(stderr,
-               "usage: %s [--seed=N] [--jobs=N] [--workers=N] [--mults=CSV]\n"
-               "       [--max-pending=N] [--shed-policy=newest|largest|tier]\n"
-               "       [--json-out=FILE] [--trace-out=FILE] [--chaos]\n",
-               argv0);
-  return 2;
-}
 
 bool ParseMults(const std::string& csv, std::vector<double>* out) {
   out->clear();
@@ -179,9 +167,7 @@ Point RunPoint(const Options& opt, double mult, double rate) {
   const double slo_attainment =
       point.completed > 0 ? slo_weighted / point.completed : 1.0;
 
-  char buf[512];
-  std::snprintf(
-      buf, sizeof(buf),
+  point.json = StrFormat(
       "    {\"mult\": %.6g, \"arrival_rate\": %.6g, \"submitted\": %d, "
       "\"completed\": %d, \"shed\": %lld, \"slo_rejects\": %lld, "
       "\"evictions\": %lld, \"deferrals\": %lld, \"goodput\": %.6g, "
@@ -197,7 +183,6 @@ Point RunPoint(const Options& opt, double mult, double rate) {
       jct.p95, jct.p99, slo_attainment, result.tenants.jain_fairness,
       point.max_pending_depth, static_cast<long long>(result.admission.level_changes),
       result.admission.avg_admission_latency(), result.makespan());
-  point.json = buf;
   return point;
 }
 
@@ -205,39 +190,25 @@ Point RunPoint(const Options& opt, double mult, double rate) {
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--seed=", 7) == 0) {
-      opt.seed = std::strtoull(arg + 7, nullptr, 10);
-    } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
-      opt.jobs = std::atoi(arg + 7);
-    } else if (std::strncmp(arg, "--workers=", 10) == 0) {
-      opt.workers = std::atoi(arg + 10);
-    } else if (std::strncmp(arg, "--max-pending=", 14) == 0) {
-      opt.max_pending = std::atoi(arg + 14);
-    } else if (std::strncmp(arg, "--shed-policy=", 14) == 0) {
-      opt.shed_policy = arg + 14;
-    } else if (std::strncmp(arg, "--mults=", 8) == 0) {
-      if (!ParseMults(arg + 8, &opt.mults)) {
-        std::fprintf(stderr, "bad --mults value '%s'\n", arg + 8);
-        return Usage(argv[0]);
-      }
-    } else if (std::strncmp(arg, "--json-out=", 11) == 0) {
-      opt.json_out = arg + 11;
-    } else if (std::strncmp(arg, "--trace-out=", 12) == 0) {
-      opt.trace_out = arg + 12;
-    } else if (std::strcmp(arg, "--chaos") == 0) {
-      opt.chaos = true;
-    } else {
-      std::fprintf(stderr, "unknown flag '%s'\n", arg);
-      return Usage(argv[0]);
-    }
-  }
+  const FlagTable flags(
+      "bench_overload",
+      {{"seed", &opt.seed, "workload and arrival seed"},
+       {"jobs", &opt.jobs, "arrivals per sweep point", 1},
+       {"workers", &opt.workers, "cluster size", 1},
+       {"mults", &opt.mults, "comma-separated multiples of the saturation rate"},
+       {"max-pending", &opt.max_pending, "admission queue bound", 1},
+       {"shed-policy", &opt.shed_policy, "newest|largest|tier"},
+       {"json-out", &opt.json_out, "summary JSON path"},
+       {"trace-out", &opt.trace_out, "trace every sweep point (FILE-<mult>x)"},
+       {"chaos", &opt.chaos, "add a worker crash-recover and a slowdown"}});
+  flags.Parse(argc, argv);
   ShedPolicy policy;
-  if (opt.jobs < 1 || opt.workers < 1 || opt.max_pending < 1 ||
-      !ParseShedPolicy(opt.shed_policy, &policy)) {
-    std::fprintf(stderr, "flag out of range\n");
-    return Usage(argv[0]);
+  if (!ParseShedPolicy(opt.shed_policy, &policy)) {
+    flags.Fail("--shed-policy rejects '" + opt.shed_policy + "' (want newest|largest|tier)");
+  }
+  std::vector<double> mults;
+  if (!ParseMults(opt.mults, &mults)) {
+    flags.Fail("--mults rejects '" + opt.mults + "' (want positive numbers, comma-separated)");
   }
 
   // Calibration: a closed batch of the same jobs, all submitted at t = 0;
@@ -265,7 +236,7 @@ int main(int argc, char** argv) {
   std::vector<Point> points;
   Table table({"mult", "rate/s", "submitted", "completed", "shed", "goodput/s",
                "p95JCT", "maxPending", "levelChanges"});
-  for (const double mult : opt.mults) {
+  for (const double mult : mults) {
     points.push_back(RunPoint(opt, mult, mult * sat_rate));
     const Point& p = points.back();
     table.Row()
@@ -323,29 +294,22 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  std::FILE* json = std::fopen(opt.json_out.c_str(), "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", opt.json_out.c_str());
+  std::string json = StrFormat(
+      "{\n  \"bench\": \"overload\",\n  \"seed\": %llu,\n  \"workers\": %d,\n"
+      "  \"jobs_per_point\": %d,\n  \"max_pending\": %d,\n  \"shed_policy\": \"%s\",\n"
+      "  \"chaos\": %s,\n  \"saturation_rate\": %.6g,\n  \"points\": [\n",
+      static_cast<unsigned long long>(opt.seed), opt.workers, opt.jobs, opt.max_pending,
+      opt.shed_policy.c_str(), opt.chaos ? "true" : "false", sat_rate);
+  for (size_t i = 0; i < points.size(); ++i) {
+    json += points[i].json + (i + 1 < points.size() ? ",\n" : "\n");
+  }
+  json += StrFormat("  ],\n  \"goodput_retention\": %.6g,\n  \"deterministic\": %s,\n"
+                    "  \"pass\": %s\n}\n",
+                    peak > 0.0 ? top.goodput / peak : 1.0,
+                    replay.json == top.json ? "true" : "false", ok ? "true" : "false");
+  if (!WriteJsonFile(opt.json_out, json)) {
     return 1;
   }
-  std::fprintf(json,
-               "{\n  \"bench\": \"overload\",\n  \"seed\": %llu,\n"
-               "  \"workers\": %d,\n  \"jobs_per_point\": %d,\n"
-               "  \"max_pending\": %d,\n  \"shed_policy\": \"%s\",\n"
-               "  \"chaos\": %s,\n  \"saturation_rate\": %.6g,\n  \"points\": [\n",
-               static_cast<unsigned long long>(opt.seed), opt.workers, opt.jobs,
-               opt.max_pending, opt.shed_policy.c_str(), opt.chaos ? "true" : "false",
-               sat_rate);
-  for (size_t i = 0; i < points.size(); ++i) {
-    std::fprintf(json, "%s%s\n", points[i].json.c_str(),
-                 i + 1 < points.size() ? "," : "");
-  }
-  std::fprintf(json,
-               "  ],\n  \"goodput_retention\": %.6g,\n  \"deterministic\": %s,\n"
-               "  \"pass\": %s\n}\n",
-               peak > 0.0 ? top.goodput / peak : 1.0,
-               replay.json == top.json ? "true" : "false", ok ? "true" : "false");
-  std::fclose(json);
   std::printf("wrote %s\n", opt.json_out.c_str());
   return ok ? 0 : 1;
 }

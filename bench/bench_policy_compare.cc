@@ -16,15 +16,13 @@
 //     the same seed must reproduce the identical schedule (events, makespan,
 //     avg JCT) — the policies stay inside the determinism envelope.
 //
-//   bench_policy_compare [--seed=N] [--jobs=N] [--json-out=FILE]
-//                        [--baseline=FILE]
+// Flags: the table in main(); any unknown flag (--help, say) prints it.
 //
 // With --baseline, the run fails when its graphene_gain_mixed (the better
 // base policy's mean JCT over Graphene's — > 1 means Graphene wins) drops
 // more than 20% below the committed baseline's value.
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -44,12 +42,6 @@ struct Options {
   std::string json_out = "BENCH_policy.json";
   std::string baseline;
 };
-
-int Usage(const char* argv0) {
-  std::fprintf(stderr, "usage: %s [--seed=N] [--jobs=N] [--json-out=FILE] [--baseline=FILE]\n",
-               argv0);
-  return 2;
-}
 
 struct Contender {
   std::string name;
@@ -98,37 +90,12 @@ Row RunRow(const Workload& workload, const Contender& contender) {
   return row;
 }
 
-void AppendRowJson(std::string* out, const Row& r) {
-  char buf[320];
-  std::snprintf(buf, sizeof(buf),
-                "    {\"workload\": \"%s\", \"policy\": \"%s\", \"makespan\": %.3f, "
-                "\"avg_jct\": %.3f, \"ue_cpu\": %.2f, \"se_cpu\": %.2f, "
-                "\"events\": %llu, \"wall_seconds\": %.3f}",
-                r.workload.c_str(), r.policy.c_str(), r.makespan, r.avg_jct, r.ue_cpu,
-                r.se_cpu, static_cast<unsigned long long>(r.events), r.wall_seconds);
-  *out += buf;
-}
-
-// Pulls `"key": <number>` out of a flat JSON file without a JSON library.
-bool ReadJsonNumber(const std::string& path, const char* key, double* out) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) {
-    return false;
-  }
-  std::string text;
-  char chunk[4096];
-  size_t n = 0;
-  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    text.append(chunk, n);
-  }
-  std::fclose(f);
-  const std::string needle = std::string("\"") + key + "\":";
-  const size_t pos = text.find(needle);
-  if (pos == std::string::npos) {
-    return false;
-  }
-  *out = std::strtod(text.c_str() + pos + needle.size(), nullptr);
-  return true;
+std::string RowJson(const Row& r) {
+  return StrFormat("    {\"workload\": \"%s\", \"policy\": \"%s\", \"makespan\": %.3f, "
+                   "\"avg_jct\": %.3f, \"ue_cpu\": %.2f, \"se_cpu\": %.2f, "
+                   "\"events\": %llu, \"wall_seconds\": %.3f}",
+                   r.workload.c_str(), r.policy.c_str(), r.makespan, r.avg_jct, r.ue_cpu,
+                   r.se_cpu, static_cast<unsigned long long>(r.events), r.wall_seconds);
 }
 
 const Row* FindRow(const std::vector<Row>& rows, const std::string& workload,
@@ -145,24 +112,12 @@ const Row* FindRow(const std::vector<Row>& rows, const std::string& workload,
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--seed=", 7) == 0) {
-      opt.seed = std::strtoull(arg + 7, nullptr, 10);
-    } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
-      opt.jobs = std::atoi(arg + 7);
-      if (opt.jobs < 1) {
-        return Usage(argv[0]);
-      }
-    } else if (std::strncmp(arg, "--json-out=", 11) == 0) {
-      opt.json_out = arg + 11;
-    } else if (std::strncmp(arg, "--baseline=", 11) == 0) {
-      opt.baseline = arg + 11;
-    } else {
-      std::fprintf(stderr, "unknown flag '%s'\n", arg);
-      return Usage(argv[0]);
-    }
-  }
+  FlagTable("bench_policy_compare",
+            {{"seed", &opt.seed, "workload seed"},
+             {"jobs", &opt.jobs, "TPC-H and TPC-DS jobs per workload", 1},
+             {"json-out", &opt.json_out, "summary JSON path"},
+             {"baseline", &opt.baseline, "gate graphene_gain_mixed against this JSON"}})
+      .Parse(argc, argv);
 
   TpchWorkloadConfig tpch_config;
   tpch_config.num_jobs = opt.jobs;
@@ -243,43 +198,15 @@ int main(int argc, char** argv) {
   // Regression gate against the committed baseline: Graphene's mixed-bench
   // win must not silently erode.
   if (!opt.baseline.empty()) {
-    double base = 0.0;
-    if (!ReadJsonNumber(opt.baseline, "graphene_gain_mixed", &base)) {
-      std::fprintf(stderr, "FAIL: cannot read graphene_gain_mixed from %s\n",
-                   opt.baseline.c_str());
-      ok = false;
-    } else if (gain < 0.8 * base) {
-      std::fprintf(stderr,
-                   "FAIL: graphene_gain_mixed %.3fx regressed more than 20%% vs "
-                   "baseline %.3fx\n",
-                   gain, base);
-      ok = false;
-    } else {
-      std::printf("baseline gate: %.3fx vs baseline %.3fx (ok)\n", gain, base);
-    }
+    ok = BaselineGate(opt.baseline, "graphene_gain_mixed", gain, 0.8, HUGE_VAL) && ok;
   }
 
-  std::string json = "{\n  \"bench\": \"policy\",\n";
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "  \"seed\": %llu,\n  \"jobs\": %d,\n  \"graphene_gain_mixed\": %.3f,\n"
-                "  \"pass\": %s,\n  \"rows\": [\n",
-                static_cast<unsigned long long>(opt.seed), opt.jobs, gain,
-                ok ? "true" : "false");
-  json += buf;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    AppendRowJson(&json, rows[i]);
-    json += i + 1 < rows.size() ? ",\n" : "\n";
-  }
-  json += "  ]\n}\n";
-
-  std::FILE* f = std::fopen(opt.json_out.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", opt.json_out.c_str());
+  const std::string fields = StrFormat(
+      "  \"bench\": \"policy\",\n  \"seed\": %llu,\n  \"jobs\": %d,\n"
+      "  \"graphene_gain_mixed\": %.3f,\n",
+      static_cast<unsigned long long>(opt.seed), opt.jobs, gain);
+  if (!WriteBenchJson(opt.json_out, fields, ok, rows, RowJson)) {
     return 1;
   }
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  std::printf("%s written (%s)\n", opt.json_out.c_str(), ok ? "pass" : "FAIL");
   return ok ? 0 : 1;
 }

@@ -17,7 +17,7 @@
 // machine-readable summary is written to --json-out (default
 // BENCH_scale.json) with the gated counters as flat top-level keys.
 //
-//   bench_scale [--seed=N] [--full] [--json-out=FILE] [--baseline=FILE]
+// Flags: the table in main(); any unknown flag (--help, say) prints it.
 //
 // With --baseline, the run fails (exit 1) unless, at 300 workers, `events`
 // and `placed` equal the baseline's and `workers_scanned` and
@@ -28,8 +28,6 @@
 // place-3kw workload of the repository benchmark (BENCHMARK.json).
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -47,12 +45,6 @@ struct Options {
   std::string json_out = "BENCH_scale.json";
   std::string baseline;
 };
-
-int Usage(const char* argv0) {
-  std::fprintf(stderr, "usage: %s [--seed=N] [--full] [--json-out=FILE] [--baseline=FILE]\n",
-               argv0);
-  return 2;
-}
 
 struct Row {
   std::string mode;  // "default" | "verify" (verify_hot_path on)
@@ -160,49 +152,24 @@ Row RunRow(const Options& opt, const std::string& mode, int workers) {
   return row;
 }
 
-void AppendRowJson(std::string* out, const Row& r) {
-  char buf[640];
-  std::snprintf(buf, sizeof(buf),
-                "    {\"mode\": \"%s\", \"workers\": %d, \"jobs\": %d, "
-                "\"monotasks\": %lld, \"events\": %llu, \"wall_seconds\": %.3f, "
-                "\"events_per_sec\": %.1f, \"placed\": %lld, "
-                "\"placements_per_sec\": %.1f, \"p99_tick_ms\": %.3f, "
-                "\"max_tick_ms\": %.3f, \"ticks\": %lld, \"full_rebuilds\": %lld, "
-                "\"load_refreshes\": %lld, \"bestworker_calls\": %lld, "
-                "\"workers_scanned\": %lld, \"scoring_truncated\": %lld, "
-                "\"makespan\": %.3f, \"avg_jct\": %.3f}",
-                r.mode.c_str(), r.workers, r.jobs, static_cast<long long>(r.monotasks),
-                static_cast<unsigned long long>(r.events), r.wall_seconds,
-                r.events_per_sec, static_cast<long long>(r.placed), r.placements_per_sec,
-                r.p99_tick_ms, r.max_tick_ms, static_cast<long long>(r.ticks),
-                static_cast<long long>(r.full_rebuilds),
-                static_cast<long long>(r.load_refreshes),
-                static_cast<long long>(r.bestworker_calls),
-                static_cast<long long>(r.workers_scanned),
-                static_cast<long long>(r.scoring_truncated), r.makespan, r.avg_jct);
-  *out += buf;
-}
-
-// Pulls `"key": <number>` out of a flat JSON file without a JSON library.
-bool ReadJsonNumber(const std::string& path, const char* key, double* out) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) {
-    return false;
-  }
-  std::string text;
-  char chunk[4096];
-  size_t n = 0;
-  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    text.append(chunk, n);
-  }
-  std::fclose(f);
-  const std::string needle = std::string("\"") + key + "\":";
-  const size_t pos = text.find(needle);
-  if (pos == std::string::npos) {
-    return false;
-  }
-  *out = std::strtod(text.c_str() + pos + needle.size(), nullptr);
-  return true;
+std::string RowJson(const Row& r) {
+  return StrFormat("    {\"mode\": \"%s\", \"workers\": %d, \"jobs\": %d, "
+                   "\"monotasks\": %lld, \"events\": %llu, \"wall_seconds\": %.3f, "
+                   "\"events_per_sec\": %.1f, \"placed\": %lld, "
+                   "\"placements_per_sec\": %.1f, \"p99_tick_ms\": %.3f, "
+                   "\"max_tick_ms\": %.3f, \"ticks\": %lld, \"full_rebuilds\": %lld, "
+                   "\"load_refreshes\": %lld, \"bestworker_calls\": %lld, "
+                   "\"workers_scanned\": %lld, \"scoring_truncated\": %lld, "
+                   "\"makespan\": %.3f, \"avg_jct\": %.3f}",
+                   r.mode.c_str(), r.workers, r.jobs, static_cast<long long>(r.monotasks),
+                   static_cast<unsigned long long>(r.events), r.wall_seconds,
+                   r.events_per_sec, static_cast<long long>(r.placed), r.placements_per_sec,
+                   r.p99_tick_ms, r.max_tick_ms, static_cast<long long>(r.ticks),
+                   static_cast<long long>(r.full_rebuilds),
+                   static_cast<long long>(r.load_refreshes),
+                   static_cast<long long>(r.bestworker_calls),
+                   static_cast<long long>(r.workers_scanned),
+                   static_cast<long long>(r.scoring_truncated), r.makespan, r.avg_jct);
 }
 
 const Row* FindRow(const std::vector<Row>& rows, const char* mode, int workers) {
@@ -220,39 +187,16 @@ double ScannedPerCall(const Row& r) {
              : 0.0;
 }
 
-// One baseline-gated counter: `value` must equal the baseline (exact) or
-// stay within 1.2x of it (bounded).
-bool GateCounter(const std::string& baseline, const char* key, double value, bool exact) {
-  double base = 0.0;
-  if (!ReadJsonNumber(baseline, key, &base)) {
-    std::fprintf(stderr, "FAIL: cannot read %s from %s\n", key, baseline.c_str());
-    return false;
-  }
-  const bool ok = exact ? value == base : value <= 1.2 * base;
-  std::fprintf(ok ? stdout : stderr, "%sbaseline gate %s: %.3f vs baseline %.3f (%s)\n",
-               ok ? "" : "FAIL: ", key, value, base, exact ? "must equal" : "<= 1.2x");
-  return ok;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--seed=", 7) == 0) {
-      opt.seed = std::strtoull(arg + 7, nullptr, 10);
-    } else if (std::strcmp(arg, "--full") == 0) {
-      opt.full = true;
-    } else if (std::strncmp(arg, "--json-out=", 11) == 0) {
-      opt.json_out = arg + 11;
-    } else if (std::strncmp(arg, "--baseline=", 11) == 0) {
-      opt.baseline = arg + 11;
-    } else {
-      std::fprintf(stderr, "unknown flag '%s'\n", arg);
-      return Usage(argv[0]);
-    }
-  }
+  FlagTable("bench_scale",
+            {{"seed", &opt.seed, "workload seed"},
+             {"full", &opt.full, "extend the sweep to 1k, 3k and 10k workers"},
+             {"json-out", &opt.json_out, "summary JSON path"},
+             {"baseline", &opt.baseline, "gate the work counters against this JSON"}})
+      .Parse(argc, argv);
 
   struct Point {
     const char* mode;
@@ -324,52 +268,31 @@ int main(int argc, char** argv) {
   // Regression gate on exact work counters: identical schedule, and no
   // more than 20% extra scan or rebuild work than the committed baseline.
   if (!opt.baseline.empty()) {
-    ok = GateCounter(opt.baseline, "events_300", static_cast<double>(run300->events),
-                     true) && ok;
-    ok = GateCounter(opt.baseline, "placed_300", static_cast<double>(run300->placed),
-                     true) && ok;
-    ok = GateCounter(opt.baseline, "workers_scanned_300",
-                     static_cast<double>(run300->workers_scanned), false) && ok;
-    ok = GateCounter(opt.baseline, "full_rebuilds_300",
-                     static_cast<double>(run300->full_rebuilds), false) && ok;
+    const std::string& base = opt.baseline;
+    ok = BaselineGate(base, "events_300", static_cast<double>(run300->events), 1, 1) && ok;
+    ok = BaselineGate(base, "placed_300", static_cast<double>(run300->placed), 1, 1) && ok;
+    ok = BaselineGate(base, "workers_scanned_300",
+                      static_cast<double>(run300->workers_scanned), 0, 1.2) && ok;
+    ok = BaselineGate(base, "full_rebuilds_300", static_cast<double>(run300->full_rebuilds),
+                      0, 1.2) && ok;
     if (run10k != nullptr) {
-      ok = GateCounter(opt.baseline, "scanned_per_call_10k", ScannedPerCall(*run10k),
-                       false) && ok;
+      ok = BaselineGate(base, "scanned_per_call_10k", ScannedPerCall(*run10k), 0, 1.2) && ok;
     }
   }
 
-  std::string json = "{\n  \"bench\": \"scale\",\n";
-  char buf[512];
-  std::snprintf(buf, sizeof(buf),
-                "  \"seed\": %llu,\n  \"full\": %s,\n  \"events_300\": %llu,\n"
-                "  \"placed_300\": %lld,\n  \"workers_scanned_300\": %lld,\n"
-                "  \"full_rebuilds_300\": %lld,\n",
-                static_cast<unsigned long long>(opt.seed), opt.full ? "true" : "false",
-                static_cast<unsigned long long>(run300->events),
-                static_cast<long long>(run300->placed),
-                static_cast<long long>(run300->workers_scanned),
-                static_cast<long long>(run300->full_rebuilds));
-  json += buf;
+  std::string fields = StrFormat(
+      "  \"bench\": \"scale\",\n  \"seed\": %llu,\n  \"full\": %s,\n"
+      "  \"events_300\": %llu,\n  \"placed_300\": %lld,\n"
+      "  \"workers_scanned_300\": %lld,\n  \"full_rebuilds_300\": %lld,\n",
+      static_cast<unsigned long long>(opt.seed), opt.full ? "true" : "false",
+      static_cast<unsigned long long>(run300->events), static_cast<long long>(run300->placed),
+      static_cast<long long>(run300->workers_scanned),
+      static_cast<long long>(run300->full_rebuilds));
   if (run10k != nullptr) {
-    std::snprintf(buf, sizeof(buf), "  \"scanned_per_call_10k\": %.3f,\n",
-                  ScannedPerCall(*run10k));
-    json += buf;
+    fields += StrFormat("  \"scanned_per_call_10k\": %.3f,\n", ScannedPerCall(*run10k));
   }
-  std::snprintf(buf, sizeof(buf), "  \"pass\": %s,\n  \"rows\": [\n", ok ? "true" : "false");
-  json += buf;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    AppendRowJson(&json, rows[i]);
-    json += i + 1 < rows.size() ? ",\n" : "\n";
-  }
-  json += "  ]\n}\n";
-
-  std::FILE* f = std::fopen(opt.json_out.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", opt.json_out.c_str());
+  if (!WriteBenchJson(opt.json_out, fields, ok, rows, RowJson)) {
     return 1;
   }
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  std::printf("%s written (%s)\n", opt.json_out.c_str(), ok ? "pass" : "FAIL");
   return ok ? 0 : 1;
 }

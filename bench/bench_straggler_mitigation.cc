@@ -15,10 +15,8 @@
 // Exit status 1 if an enabled run under injected stragglers launched zero
 // speculative copies (the detection -> mitigation loop is broken).
 //
-//   bench_straggler_mitigation [--seed=N] [--jobs=N] [--trace-out=FILE]
+// Flags: the table in main(); any unknown flag (--help, say) prints it.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -70,20 +68,11 @@ int main(int argc, char** argv) {
   uint64_t seed = 42;
   int jobs = 40;
   std::string trace_out;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      seed = std::strtoull(argv[i] + 7, nullptr, 10);
-    } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-      jobs = std::atoi(argv[i] + 7);
-    } else if (std::strncmp(argv[i], "--trace-out=", 12) == 0) {
-      trace_out = argv[i] + 12;
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_straggler_mitigation [--seed=N] [--jobs=N] "
-                   "[--trace-out=FILE]\n");
-      return 2;
-    }
-  }
+  FlagTable("bench_straggler_mitigation",
+            {{"seed", &seed, "workload seed"},
+             {"jobs", &jobs, "TPC-H jobs", 1},
+             {"trace-out", &trace_out, "trace the speculation runs (FILE-<scenario>)"}})
+      .Parse(argc, argv);
 
   TpchWorkloadConfig wc;
   wc.num_jobs = jobs;

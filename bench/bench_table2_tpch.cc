@@ -13,9 +13,7 @@
 int main(int argc, char** argv) {
   using namespace ursa;
   BenchTraceOptions trace;
-  if (!ParseBenchTraceFlags(argc, argv, &trace)) {
-    return 2;
-  }
+  ParseBenchTraceFlags("bench_table2_tpch", argc, argv, &trace);
   TpchWorkloadConfig wc;
   wc.num_jobs = 200;
   wc.submit_interval = 5.0;

@@ -4,13 +4,14 @@
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/common/flags.h"
 #include "src/common/table.h"
 #include "src/driver/experiment.h"
 #include "src/obs/trace.h"
@@ -31,26 +32,98 @@ struct BenchTraceOptions {
   bool enabled() const { return !out.empty(); }
 };
 
-// Parses the trace flags out of a bench's argv. Returns false (after
-// printing usage) on any unrecognized argument.
-inline bool ParseBenchTraceFlags(int argc, char** argv, BenchTraceOptions* opts) {
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--trace-out=", 12) == 0) {
-      opts->out = arg + 12;
-    } else if (std::strncmp(arg, "--trace-sample=", 15) == 0) {
-      opts->sample = std::atoi(arg + 15);
-    } else if (std::strncmp(arg, "--trace-capacity=", 17) == 0) {
-      opts->capacity = std::strtoull(arg + 17, nullptr, 10);
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--trace-out=FILE] [--trace-sample=N] "
-                   "[--trace-capacity=EVENTS]\n",
-                   argv[0]);
-      return false;
-    }
+// Parses a bench's argv, which takes only the trace flags; exits 2 on any
+// other argument.
+inline void ParseBenchTraceFlags(const char* program, int argc, char** argv,
+                                 BenchTraceOptions* opts) {
+  FlagTable(program,
+            {{"trace-out", &opts->out, "write one Chrome trace per scheme (FILE-<scheme>)"},
+             {"trace-sample", &opts->sample, "trace every Nth monotask", 1},
+             {"trace-capacity", &opts->capacity, "trace ring capacity, events", 1}})
+      .Parse(argc, argv);
+}
+
+// printf into a std::string (the benches' JSON emitters).
+__attribute__((format(printf, 1, 2))) inline std::string StrFormat(const char* fmt, ...) {
+  va_list args;
+  va_start(args, fmt);
+  va_list again;
+  va_copy(again, args);
+  std::string out(static_cast<size_t>(std::vsnprintf(nullptr, 0, fmt, args)), '\0');
+  va_end(args);
+  std::vsnprintf(out.data(), out.size() + 1, fmt, again);
+  va_end(again);
+  return out;
+}
+
+// Writes a bench's JSON summary (--json-out); false, after naming the file
+// on stderr, when it cannot be written.
+inline bool WriteJsonFile(const std::string& path, const std::string& json) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
   }
+  std::fwrite(json.data(), 1, json.size(), f);
+  std::fclose(f);
   return true;
+}
+
+// Writes the summary layout shared by the gated benches: `fields` (whole
+// `  "key": value,` lines), the pass flag, then one `row_json(row)` object
+// per row, and reports the file on stdout.
+template <typename Row, typename RowJson>
+bool WriteBenchJson(const std::string& path, const std::string& fields, bool ok,
+                    const std::vector<Row>& rows, RowJson row_json) {
+  std::string json = "{\n" + fields + "  \"pass\": " + (ok ? "true" : "false") +
+                     ",\n  \"rows\": [\n";
+  for (size_t i = 0; i < rows.size(); ++i) {
+    json += row_json(rows[i]) + (i + 1 < rows.size() ? ",\n" : "\n");
+  }
+  json += "  ]\n}\n";
+  if (!WriteJsonFile(path, json)) {
+    return false;
+  }
+  std::printf("%s written (%s)\n", path.c_str(), ok ? "pass" : "FAIL");
+  return true;
+}
+
+// Pulls `"key": <number>` out of a flat JSON file without a JSON library.
+inline bool ReadJsonNumber(const std::string& path, const char* key, double* out) {
+  std::FILE* f = std::fopen(path.c_str(), "r");
+  if (f == nullptr) {
+    return false;
+  }
+  std::string text;
+  char chunk[4096];
+  size_t n = 0;
+  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
+    text.append(chunk, n);
+  }
+  std::fclose(f);
+  const std::string needle = std::string("\"") + key + "\":";
+  const size_t pos = text.find(needle);
+  if (pos == std::string::npos) {
+    return false;
+  }
+  *out = std::strtod(text.c_str() + pos + needle.size(), nullptr);
+  return true;
+}
+
+// The --baseline regression gate: passes when `value` lies within
+// [min_ratio, max_ratio] times the baseline file's `key` (max_ratio may be
+// infinite). Prints the verdict.
+inline bool BaselineGate(const std::string& baseline, const char* key, double value,
+                         double min_ratio, double max_ratio) {
+  double base = 0.0;
+  if (!ReadJsonNumber(baseline, key, &base)) {
+    std::fprintf(stderr, "FAIL: cannot read %s from %s\n", key, baseline.c_str());
+    return false;
+  }
+  const bool ok = value >= min_ratio * base && !(value > max_ratio * base);
+  std::fprintf(ok ? stdout : stderr, "%sbaseline gate %s: %.4f vs baseline %.4f (%gx-%gx)\n",
+               ok ? "" : "FAIL: ", key, value, base, min_ratio, max_ratio);
+  return ok;
 }
 
 // Per-scheme trace file name: inserts "-<scheme>" before the extension so a

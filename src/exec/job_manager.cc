@@ -455,6 +455,18 @@ void JobManager::ResetTaskRuntime(TaskId t) {
   }
 }
 
+bool JobManager::OutputsLost(TaskId t) const {
+  for (MonotaskId m : plan().task(t).monotasks) {
+    const MonotaskSpec& mt = plan().monotask(m);
+    for (DataId d : plan().cop(mt.cop).creates) {
+      if (!cluster_->metadata().Has(job_->id, d, mt.index)) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
 void JobManager::ResetTaskForReplacement(TaskId t) {
   TaskRuntime& rt = tasks_[static_cast<size_t>(t)];
   CHECK(rt.state == TaskState::kPlaced);
@@ -485,15 +497,21 @@ JobManager::RecoveryResult JobManager::RecoverFromWorkerFailure(WorkerId failed)
 
   // Phase 1 - lineage analysis. Seed with in-flight placements on the dead
   // worker, then propagate to a fixpoint:
-  //  * a completed task whose outputs lived on the dead worker is lost iff
-  //    some consumer still needs those outputs (it is not completed, or it
-  //    is itself being reset);
+  //  * a completed task whose outputs are gone is lost iff some consumer
+  //    still needs those outputs (it is not completed, or it is itself being
+  //    reset). Outputs are gone when they lived on the dead worker, or on a
+  //    worker lost in an earlier episode in which no consumer needed them;
+  //    the metadata store is the record of the latter;
   //  * a ready/placed task is invalidated when any producer it reads from
   //    (async parent or any task of a sync parent stage) is being reset.
   // Blocked tasks need no flag: their counters are rebuilt in phase 2.
   std::vector<char> reset(n, 0);
+  std::vector<char> outputs_gone(n, 0);
   for (size_t i = 0; i < n; ++i) {
     const TaskRuntime& rt = tasks_[i];
+    if (rt.state == TaskState::kCompleted) {
+      outputs_gone[i] = rt.worker == failed || OutputsLost(static_cast<TaskId>(i));
+    }
     // A placement on the dead worker with a live copy elsewhere is NOT lost:
     // HandleWorkerFailureForSpeculation marked it primary_lost and the copy
     // races on alone. Conversely a primary_lost task whose copy just died
@@ -546,7 +564,7 @@ JobManager::RecoveryResult JobManager::RecoverFromWorkerFailure(WorkerId failed)
       const TaskRuntime& rt = tasks_[i];
       const TaskSpec& spec = plan().task(static_cast<TaskId>(i));
       if (rt.state == TaskState::kCompleted) {
-        if (rt.worker == failed && any_dependent_needs(spec)) {
+        if (outputs_gone[i] && any_dependent_needs(spec)) {
           reset[i] = 1;
           changed = true;
         }

@@ -322,6 +322,9 @@ class JobManager {
   // Restores the runtime counters of one task to its never-started state
   // (returning completed monotask bytes to remaining_work_).
   void ResetTaskRuntime(TaskId t);
+  // Whether a metadata entry the completed task `t` wrote is gone, i.e. the
+  // worker holding its outputs failed at some point after it completed.
+  bool OutputsLost(TaskId t) const;
   void CompleteTask(TaskId t);
   void RemoveFromReady(TaskId t);
 

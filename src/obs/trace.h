@@ -72,9 +72,10 @@ enum class TraceEventKind : int8_t {
   kShed = 19,
   kDefer = 20,
   kBackpressure = 21,
-  // A placement tick exhausted max_scored_pairs_per_tick and deferred the
-  // remaining jobs to the next tick (job == kInvalidId; a = pairs scored,
-  // b = jobs skipped). Recorded through AdmissionEvent.
+  // A placement tick exhausted max_scored_pairs_per_tick at `job` and
+  // deferred the rest of the scan to the next tick (a = pairs scored, b =
+  // admitted, unfinished jobs with ready tasks left ungathered). Recorded
+  // through AdmissionEvent.
   kScoringTruncated = 22,
   // Control-plane message layer + scheduler crash-recovery (DESIGN.md
   // section 14). Recorded through WorkerEvent; worker == kInvalidId for

@@ -18,17 +18,27 @@ const char* ShedPolicyName(ShedPolicy policy) {
   return "?";
 }
 
-bool ParseShedPolicy(const std::string& name, ShedPolicy* out) {
-  if (name == "newest") {
-    *out = ShedPolicy::kRejectNewest;
-  } else if (name == "largest") {
-    *out = ShedPolicy::kRejectLargestWork;
-  } else if (name == "tier") {
-    *out = ShedPolicy::kPriorityTier;
-  } else {
-    return false;
+const char* ShedPolicyFlag(ShedPolicy policy) {
+  switch (policy) {
+    case ShedPolicy::kRejectNewest:
+      return "newest";
+    case ShedPolicy::kRejectLargestWork:
+      return "largest";
+    case ShedPolicy::kPriorityTier:
+      return "tier";
   }
-  return true;
+  return "?";
+}
+
+bool ParseShedPolicy(const std::string& name, ShedPolicy* out) {
+  for (ShedPolicy policy : {ShedPolicy::kRejectNewest, ShedPolicy::kRejectLargestWork,
+                            ShedPolicy::kPriorityTier}) {
+    if (name == ShedPolicyFlag(policy)) {
+      *out = policy;
+      return true;
+    }
+  }
+  return false;
 }
 
 const char* BackpressureLevelName(BackpressureLevel level) {

@@ -43,7 +43,9 @@ enum class ShedPolicy : int {
   kPriorityTier = 2,        // Shed the lowest tier, newest first, with a starvation guard.
 };
 const char* ShedPolicyName(ShedPolicy policy);
-// Returns false when `name` is not one of newest|largest|tier.
+// CLI spelling (--shed-policy=<flag>): newest | largest | tier.
+const char* ShedPolicyFlag(ShedPolicy policy);
+// Returns false when `name` is not one of the ShedPolicyFlag spellings.
 bool ParseShedPolicy(const std::string& name, ShedPolicy* out);
 
 enum class BackpressureLevel : int {

@@ -1539,7 +1539,9 @@ UrsaScheduler::PlacementStats UrsaScheduler::RunPlacement() {
     for (TaskId t : entry->jm->ready_tasks()) {
       by_stage[entry->job->plan.task(t).stage].push_back(t);
     }
+    size_t stages_gathered = 0;
     for (auto& [stage, tasks] : by_stage) {
+      ++stages_gathered;
       if (config_.stage_aware) {
         scored_pairs += tasks.size() * master.size();
         candidates.push_back(Candidate{entry.get(), stage, std::move(tasks)});
@@ -1557,14 +1559,25 @@ UrsaScheduler::PlacementStats UrsaScheduler::RunPlacement() {
     if (scored_pairs > config_.max_scored_pairs_per_tick) {
       truncated = true;
       next_start = (j + 1) % num_jobs;
-      const size_t skipped = num_jobs - 1 - i;
+      // Deferred work: the rest of the scan's admitted, unfinished jobs that
+      // have ready tasks, plus this job's own stages past the cut.
+      size_t deferred_jobs = 0;
+      for (size_t k = i + 1; k < num_jobs; ++k) {
+        const JobEntry& rest = *jobs_[(start + k) % num_jobs];
+        if (rest.admitted && !rest.finished && !rest.jm->ready_tasks().empty()) {
+          ++deferred_jobs;
+        }
+      }
+      const size_t deferred_stages = by_stage.size() - stages_gathered;
       LOG(Warning) << "placement candidate budget exhausted (" << scored_pairs
-                   << " pairs); deferring " << skipped << " job(s) to next tick";
+                   << " pairs) at job " << entry->job->id << "; deferring " << deferred_jobs
+                   << " job(s) with ready tasks and " << deferred_stages
+                   << " stage(s) of this job to next tick";
       ++counters_.scoring_truncated;
       if (tracer_ != nullptr) {
         tracer_->AdmissionEvent(sim_->Now(), TraceEventKind::kScoringTruncated,
-                                kInvalidId, 0, static_cast<double>(scored_pairs),
-                                static_cast<double>(skipped));
+                                entry->job->id, 0, static_cast<double>(scored_pairs),
+                                static_cast<double>(deferred_jobs));
       }
     }
   }

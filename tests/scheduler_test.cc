@@ -3,6 +3,7 @@
 // bonus), job ordering policies, and the packing-placement variants.
 #include <gtest/gtest.h>
 
+#include "src/obs/trace.h"
 #include "src/scheduler/ursa_scheduler.h"
 #include "src/workloads/synthetic.h"
 #include "src/workloads/tpch.h"
@@ -106,6 +107,71 @@ TEST_F(SchedulerTest, PackingReservationsReleaseOnTaskCompletion) {
     EXPECT_DOUBLE_EQ(cluster_->worker(w).free_memory(),
                      cluster_->worker(w).memory_capacity());
   }
+}
+
+TEST(SchedulerTruncation, ReportsDeferredJobsWithReadyTasks) {
+  // A one-pair budget cuts every tick at the first job it gathers, so the
+  // jobs deferred are exactly the other admitted, unfinished jobs holding
+  // ready tasks. Finished jobs stay in the job table and the scan rotation
+  // walks past them, and past jobs whose ready tasks are all placed.
+  Simulator sim;
+  Cluster cluster(&sim, ClusterConfig{});
+  UrsaSchedulerConfig sc;
+  sc.max_scored_pairs_per_tick = 1;
+  UrsaScheduler scheduler(&sim, &cluster, sc);
+  Tracer tracer;
+  scheduler.set_tracer(&tracer);
+  TpchWorkloadConfig wc;
+  wc.num_jobs = 6;
+  wc.seed = 3;
+  const Workload workload = MakeTpchWorkload(wc);
+  const int num_jobs = static_cast<int>(workload.jobs.size());
+  for (int id = 0; id < num_jobs; ++id) {
+    scheduler.SubmitJob(Job::Create(id, workload.jobs[static_cast<size_t>(id)].spec));
+  }
+  const auto& records = scheduler.job_records();
+  auto admitted_jobs = [&] {
+    int n = 0;
+    for (const JobRecord& r : records) {
+      n += r.admit_time >= 0.0 ? 1 : 0;
+    }
+    return n;
+  };
+  size_t seen = 0;
+  int checked = 0;
+  int with_finished = 0;
+  while (!sim.Idle()) {
+    int with_ready = 0;
+    int finished = 0;
+    for (int id = 0; id < num_jobs; ++id) {
+      const JobRecord& r = records[static_cast<size_t>(id)];
+      const JobManager* jm = scheduler.job_manager(id);
+      finished += r.finish_time >= 0.0 ? 1 : 0;
+      if (r.admit_time >= 0.0 && r.finish_time < 0.0 && jm != nullptr &&
+          !jm->ready_tasks().empty()) {
+        ++with_ready;
+      }
+    }
+    const int admitted_before = admitted_jobs();
+    sim.Step();
+    if (tracer.size() == seen) {
+      continue;
+    }
+    const std::vector<TraceEvent> events = tracer.Snapshot();
+    for (; seen < events.size(); ++seen) {
+      const TraceEvent& e = events[seen];
+      if (e.kind != TraceEventKind::kScoringTruncated || admitted_jobs() != admitted_before) {
+        continue;  // An admission inside the tick changes the ready set.
+      }
+      EXPECT_EQ(e.b, static_cast<double>(with_ready - 1)) << "at t=" << e.t;
+      ++checked;
+      with_finished += finished > 0 ? 1 : 0;
+    }
+  }
+  EXPECT_TRUE(scheduler.AllJobsFinished());
+  EXPECT_GT(checked, 20);
+  EXPECT_GT(with_finished, 0);
+  EXPECT_EQ(tracer.dropped(), 0u);
 }
 
 TEST(SrjfRank, SmallerRemainingRanksFirst) {

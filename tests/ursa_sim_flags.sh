@@ -40,6 +40,11 @@ for removed in event-queue=calendar hotpath=seed; do
   expect_rejected "${removed%%=*}" "--${removed}"
 done
 expect_rejected jobs --jobs=0
+# Malformed numbers, a negative unsigned seed and a switch given a value.
+expect_rejected jobs --jobs=abc
+expect_rejected seed --seed=-1
+expect_rejected seed --seed=12x
+expect_rejected spec --spec=1
 
 got=0
 "${URSA_SIM}" --workload=tpch --jobs=2 --workers=4 >"${WORKDIR}/out.txt" 2>&1 || got=$?
