@@ -68,6 +68,7 @@ class ExecutorModelScheduler::ExecutorJob {
   const ExecutionPlan& plan() const { return job_->plan; }
 
   void Bootstrap() {
+    cluster_->metadata().AddJob(job_->id, plan().materialized_partitions());
     for (const StageSpec& stage : plan().stages()) {
       stage_remaining_[static_cast<size_t>(stage.id)] = stage.num_tasks;
     }

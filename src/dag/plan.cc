@@ -398,6 +398,16 @@ ExecutionPlan ExecutionPlan::Build(const OpGraph& graph, uint64_t seed) {
   return plan;
 }
 
+std::vector<int> ExecutionPlan::materialized_partitions() const {
+  std::vector<int> partitions = dataset_partitions_;
+  for (size_t d = 0; d < partitions.size(); ++d) {
+    if (!external_sizes_[d].empty()) {
+      partitions[d] = 0;
+    }
+  }
+  return partitions;
+}
+
 std::array<double, kNumMonotaskResources> ExecutionPlan::ExpectedWorkByResource() const {
   std::array<double, kNumMonotaskResources> work = {0.0, 0.0, 0.0};
   // Dataset totals propagate through cops in topological order; skew

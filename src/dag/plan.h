@@ -115,6 +115,9 @@ class ExecutionPlan {
 
   // Dataset bookkeeping copied from the graph.
   int dataset_partitions(DataId d) const { return dataset_partitions_[static_cast<size_t>(d)]; }
+  // Partition count of every dataset, 0 for external inputs: the shape of
+  // the job's metadata table (external inputs never enter it).
+  std::vector<int> materialized_partitions() const;
   const std::vector<double>& external_sizes(DataId d) const {
     return external_sizes_[static_cast<size_t>(d)];
   }

@@ -1,6 +1,6 @@
 #include "src/exec/estimator.h"
 
-#include <map>
+#include <algorithm>
 
 #include "src/common/logging.h"
 
@@ -18,6 +18,13 @@ double LookupLocal(const std::vector<OutputRecord>* local, DataId data, int part
     }
   }
   return -1.0;
+}
+
+const PartitionInfo& Present(const PartitionInfo& info, const Job& job, DataId data,
+                             int partition) {
+  CHECK(info.present) << "missing partition metadata: job " << job.id << " data " << data
+                      << " partition " << partition;
+  return info;
 }
 
 }  // namespace
@@ -45,11 +52,11 @@ double UsageEstimator::MonotaskInputBytes(const Job& job, MonotaskId mt_id,
         break;
       }
       case ReadMode::kGatherSlices: {
-        const int partitions = plan.dataset_partitions(d);
+        const std::span<const PartitionInfo> row = meta.Dataset(job.id, d);
         const double weight =
             cop.slice_weights[static_cast<size_t>(mt.index)] / cop.parallelism;
-        for (int p = 0; p < partitions; ++p) {
-          total += meta.Get(job.id, d, p).bytes * weight;
+        for (size_t p = 0; p < row.size(); ++p) {
+          total += Present(row[p], job, d, static_cast<int>(p)).bytes * weight;
         }
         break;
       }
@@ -85,54 +92,90 @@ std::vector<OutputRecord> UsageEstimator::ComputeOutputs(const Job& job, Monotas
 std::vector<RunnableMonotask::Pull> UsageEstimator::ResolvePulls(const Job& job,
                                                                  MonotaskId mt_id,
                                                                  const MetadataStore& meta) {
-  return ResolvePulls(job, mt_id, meta, nullptr, kInvalidId);
+  return ResolvePulls(job, mt_id, meta, nullptr, kInvalidId, nullptr);
 }
 
 std::vector<RunnableMonotask::Pull> UsageEstimator::ResolvePulls(
     const Job& job, MonotaskId mt_id, const MetadataStore& meta,
-    const std::vector<OutputRecord>* local, WorkerId local_worker) {
+    const std::vector<OutputRecord>* local, WorkerId local_worker, double* input_bytes) {
   const ExecutionPlan& plan = job.plan;
   const MonotaskSpec& mt = plan.monotask(mt_id);
   const CollapsedOp& cop = plan.cop(mt.cop);
   CHECK(cop.type == ResourceType::kNetwork);
-  // Ordered by WorkerId so the emitted pull list is deterministic without a
-  // post-sort (detlint rule `no-unordered-iteration`).
-  std::map<WorkerId, double> per_source;
-  auto add_partition = [&](DataId d, int partition, double weight) {
-    const double local_bytes = LookupLocal(local, d, partition);
-    if (local_bytes >= 0.0) {
-      per_source[local_worker] += local_bytes * weight;
-      return;
+  CHECK(local == nullptr || local_worker >= 0);
+  // One pull per source, accumulated in partition order and emitted sorted
+  // by WorkerId. `slot_of[w]` is w's index in `pulls` while w has one, -1
+  // otherwise; it grows to the largest source seen and is reset before
+  // returning, so it is all -1 between calls. Both buffers are reused across
+  // calls; the result is an exact-size copy, as queued monotasks hold it
+  // until they run.
+  thread_local std::vector<int> slot_of;
+  thread_local std::vector<RunnableMonotask::Pull> pulls;
+  pulls.clear();
+  auto add = [&](WorkerId source, double bytes) {
+    if (slot_of.size() <= static_cast<size_t>(source)) {
+      slot_of.resize(static_cast<size_t>(source) + 1, -1);
     }
-    const PartitionInfo& info = meta.Get(job.id, d, partition);
-    per_source[info.worker] += info.bytes * weight;
+    int& slot = slot_of[static_cast<size_t>(source)];
+    if (slot < 0) {
+      slot = static_cast<int>(pulls.size());
+      pulls.push_back(RunnableMonotask::Pull{source, 0.0});
+    }
+    pulls[static_cast<size_t>(slot)].bytes += bytes;
   };
+  // The input total takes the same terms in the same order as
+  // MonotaskInputBytes, so the two agree bit for bit.
+  double total = 0.0;
   for (size_t r = 0; r < cop.reads.size(); ++r) {
     const DataId d = cop.reads[r];
     switch (cop.read_modes[r]) {
       case ReadMode::kExternal:
         LOG(Fatal) << "network op " << cop.name << " reads external data";
         break;
-      case ReadMode::kOnePartition:
-        add_partition(d, mt.index, 1.0);
+      case ReadMode::kOnePartition: {
+        const double local_bytes = LookupLocal(local, d, mt.index);
+        if (local_bytes >= 0.0) {
+          add(local_worker, local_bytes * 1.0);
+          total += local_bytes;
+        } else {
+          const PartitionInfo& info = meta.Get(job.id, d, mt.index);
+          add(info.worker, info.bytes * 1.0);
+          total += info.bytes;
+        }
         break;
+      }
       case ReadMode::kGatherSlices: {
-        const int partitions = plan.dataset_partitions(d);
+        const std::span<const PartitionInfo> row = meta.Dataset(job.id, d);
         const double weight =
             cop.slice_weights[static_cast<size_t>(mt.index)] / cop.parallelism;
-        for (int p = 0; p < partitions; ++p) {
-          add_partition(d, p, weight);
+        for (size_t p = 0; p < row.size(); ++p) {
+          // The input total reads the store even where the copy's buffer
+          // supplies the pull, as MonotaskInputBytes does.
+          const PartitionInfo& info = Present(row[p], job, d, static_cast<int>(p));
+          const double slice = info.bytes * weight;
+          total += slice;
+          const double local_bytes = LookupLocal(local, d, static_cast<int>(p));
+          if (local_bytes >= 0.0) {
+            add(local_worker, local_bytes * weight);
+          } else {
+            add(info.worker, slice);
+          }
         }
         break;
       }
     }
   }
-  std::vector<RunnableMonotask::Pull> pulls;
-  pulls.reserve(per_source.size());
-  for (const auto& [worker, bytes] : per_source) {
-    pulls.push_back(RunnableMonotask::Pull{worker, bytes});
+  if (input_bytes != nullptr) {
+    *input_bytes = total;
   }
-  return pulls;
+  for (const RunnableMonotask::Pull& pull : pulls) {
+    slot_of[static_cast<size_t>(pull.src)] = -1;
+  }
+  std::sort(pulls.begin(), pulls.end(),
+            [](const RunnableMonotask::Pull& a, const RunnableMonotask::Pull& b) {
+              return a.src < b.src;
+            });
+  return std::vector<RunnableMonotask::Pull>(pulls.begin(), pulls.end());
 }
 
 TaskUsage UsageEstimator::EstimateTask(const Job& job, TaskId task_id,

@@ -11,6 +11,13 @@
 // the estimator walks the task's monotasks in topological order, propagating
 // intermediate output sizes, which yields the exact per-resource input bytes
 // the paper computes from dataset metadata.
+//
+// A shuffle reducer (kGatherSlices) reads one row of its job's metadata
+// table: every partition of the upstream dataset, weighted by the reducer's
+// slice weight. Sums run in partition order, one `bytes * weight` term per
+// partition, for the input total and for each source's pull alike; no sum is
+// cached or regrouped, so every result is bit-identical to adding the terms
+// one by one (DESIGN.md section 15).
 #ifndef SRC_EXEC_ESTIMATOR_H_
 #define SRC_EXEC_ESTIMATOR_H_
 
@@ -58,10 +65,12 @@ class UsageEstimator {
 
   // As above, but partitions found in `local` (outputs buffered by a
   // speculative copy running on `local_worker`) are pulled from there instead
-  // of from the location the metadata store records for the primary.
+  // of from the location the metadata store records for the primary. When
+  // `input_bytes` is not null it receives MonotaskInputBytes(job, mt, meta,
+  // local), bit for bit, from the same pass over the partitions.
   static std::vector<RunnableMonotask::Pull> ResolvePulls(
       const Job& job, MonotaskId mt, const MetadataStore& meta,
-      const std::vector<OutputRecord>* local, WorkerId local_worker);
+      const std::vector<OutputRecord>* local, WorkerId local_worker, double* input_bytes);
 
   // Full task usage estimate. `ready_input_total` is the total input bytes
   // of the job's currently-ready tasks (for the r * M(j) memory cap).

@@ -35,6 +35,7 @@ JobManager::JobManager(Simulator* sim, Cluster* cluster, Job* job, JobManagerLis
 }
 
 void JobManager::Start() {
+  cluster_->metadata().AddJob(job_->id, plan().materialized_partitions());
   for (const StageSpec& stage : plan().stages()) {
     stages_[static_cast<size_t>(stage.id)].remaining_tasks = stage.num_tasks;
   }
@@ -59,7 +60,7 @@ void JobManager::Start() {
 void JobManager::MarkReady(TaskId t) {
   TaskRuntime& rt = tasks_[static_cast<size_t>(t)];
   CHECK(rt.state == TaskState::kBlocked);
-  rt.state = TaskState::kReady;
+  SetState(t, TaskState::kReady);
   rt.timing.ready_time = sim_->Now();
   // Per-resource bytes are exact now: all inputs from outside the task are
   // materialized (parents completed).
@@ -107,7 +108,7 @@ bool JobManager::PlaceTask(TaskId t, WorkerId worker_id) {
   if (!worker.TryAllocateMemory(usage.memory)) {
     return false;
   }
-  rt.state = TaskState::kPlaced;
+  SetState(t, TaskState::kPlaced);
   rt.worker = worker_id;
   rt.avoid_worker = kInvalidId;
   rt.allocated_memory = usage.memory;
@@ -154,21 +155,18 @@ void JobManager::DispatchMonotask(MonotaskId m) {
   run.type = mt.type;
   run.job_priority = priority_;
   run.cancel = trt.cancel;
-  const double input =
-      UsageEstimator::MonotaskInputBytes(*job_, m, cluster_->metadata(), nullptr);
+  double input = 0.0;
+  if (mt.type == ResourceType::kNetwork) {
+    run.pulls = UsageEstimator::ResolvePulls(*job_, m, cluster_->metadata(), nullptr,
+                                             kInvalidId, &input);
+  } else {
+    input = UsageEstimator::MonotaskInputBytes(*job_, m, cluster_->metadata(), nullptr);
+    run.work = mt.type == ResourceType::kCpu
+                   ? cop.cost.fixed_cpu_work + input * cop.cost.cpu_complexity
+                   : input;
+  }
   mrt.input_bytes = input;
   run.input_bytes = input;
-  switch (mt.type) {
-    case ResourceType::kCpu:
-      run.work = cop.cost.fixed_cpu_work + input * cop.cost.cpu_complexity;
-      break;
-    case ResourceType::kDisk:
-      run.work = input;
-      break;
-    case ResourceType::kNetwork:
-      run.pulls = UsageEstimator::ResolvePulls(*job_, m, cluster_->metadata());
-      break;
-  }
   // Queue ordering within the job (section 4.2.3): stage-major; within a
   // stage CPU monotasks run largest-first, network/disk smallest-first.
   if (use_intra_ordering_) {
@@ -476,7 +474,7 @@ void JobManager::ResetTaskForReplacement(TaskId t) {
   worker.AddActualMemoryUse(-rt.actual_memory);
   ResetTaskRuntime(t);
   rt.avoid_worker = old_worker;
-  rt.state = TaskState::kBlocked;
+  SetState(t, TaskState::kBlocked);
   MarkReady(t);
 }
 
@@ -604,7 +602,7 @@ JobManager::RecoveryResult JobManager::RecoverFromWorkerFailure(WorkerId failed)
       --completed_tasks_;
     }
     ResetTaskRuntime(static_cast<TaskId>(i));
-    rt.state = TaskState::kBlocked;
+    SetState(static_cast<TaskId>(i), TaskState::kBlocked);
     if (!rt.recovering) {
       rt.recovering = true;
       if (recovering_outstanding_ == 0) {
@@ -636,7 +634,7 @@ JobManager::RecoveryResult JobManager::RecoverFromWorkerFailure(WorkerId failed)
     if (rt.state == TaskState::kCompleted || rt.state == TaskState::kPlaced) {
       continue;
     }
-    rt.state = TaskState::kBlocked;
+    SetState(spec.id, TaskState::kBlocked);
     int async_parents = 0;
     for (TaskId parent : spec.async_parents) {
       if (tasks_[static_cast<size_t>(parent)].state != TaskState::kCompleted) {
@@ -666,6 +664,8 @@ void JobManager::RestoreFromImage(const JobImage& image) {
   CHECK(!aborted_);
   CHECK_EQ(image.tasks.size(), plan().tasks().size());
   CHECK_EQ(image.mono_done.size(), plan().monotasks().size());
+  // The job's table outlived the crash along with its entries.
+  cluster_->metadata().AddJob(job_->id, plan().materialized_partitions());
   // Base counters, exactly as Start() would set them.
   for (const StageSpec& stage : plan().stages()) {
     stages_[static_cast<size_t>(stage.id)].remaining_tasks = stage.num_tasks;
@@ -716,7 +716,7 @@ void JobManager::RestoreFromImage(const JobImage& image) {
     const TaskImage& ti = image.tasks[static_cast<size_t>(task.id)];
     rt.generation = ti.generation;
     if (ti.done) {
-      rt.state = TaskState::kCompleted;
+      SetState(task.id, TaskState::kCompleted);
       rt.worker = ti.worker;
       rt.timing.ready_time = ti.place_time;
       rt.timing.place_time = ti.place_time;
@@ -726,7 +726,7 @@ void JobManager::RestoreFromImage(const JobImage& image) {
       CHECK_GT(srt.remaining_tasks, 0);
       --srt.remaining_tasks;
     } else if (ti.worker != kInvalidId) {
-      rt.state = TaskState::kPlaced;
+      SetState(task.id, TaskState::kPlaced);
       rt.worker = ti.worker;
       rt.allocated_memory = ti.allocated_memory;
       rt.actual_memory = ti.actual_memory;
@@ -758,7 +758,7 @@ void JobManager::RestoreFromImage(const JobImage& image) {
     if (rt.state == TaskState::kCompleted || rt.state == TaskState::kPlaced) {
       continue;
     }
-    rt.state = TaskState::kBlocked;
+    SetState(spec.id, TaskState::kBlocked);
     int async_parents = 0;
     for (TaskId parent : spec.async_parents) {
       if (tasks_[static_cast<size_t>(parent)].state != TaskState::kCompleted) {
@@ -845,7 +845,7 @@ void JobManager::CompleteTask(TaskId t) {
     stage_durations_[static_cast<size_t>(plan().task(t).stage)].Add(
         sim_->Now() - rt.timing.place_time);
   }
-  rt.state = TaskState::kCompleted;
+  SetState(t, TaskState::kCompleted);
   rt.timing.finish_time = sim_->Now();
   if (journal_ != nullptr) {
     journal_->Append({JournalKind::kTaskDone, job_->id, t, rt.worker, rt.generation,
@@ -902,6 +902,7 @@ void JobManager::CompleteTask(TaskId t) {
   }
   if (finished()) {
     finish_time_ = sim_->Now();
+    placed_.shrink_to_fit();  // Empty now; finished job managers stay around.
     cluster_->metadata().DropJob(job_->id);
     listener_->OnJobFinished(job_->id);
   }
@@ -914,12 +915,22 @@ void JobManager::ConfigureSpeculation(SpeculationManager* manager) {
   stage_durations_.assign(plan().stages().size(), RobustSample());
 }
 
-int JobManager::CountPlacedTasks() const {
-  int placed = 0;
-  for (const TaskRuntime& rt : tasks_) {
-    placed += rt.state == TaskState::kPlaced ? 1 : 0;
+int JobManager::CountPlacedTasks() const { return static_cast<int>(placed_.size()); }
+
+void JobManager::SetState(TaskId t, TaskState state) {
+  TaskRuntime& rt = tasks_[static_cast<size_t>(t)];
+  if (rt.state == TaskState::kPlaced && state != TaskState::kPlaced) {
+    const size_t pos = static_cast<size_t>(rt.placed_pos);
+    const TaskId last = placed_.back();
+    placed_[pos] = last;
+    tasks_[static_cast<size_t>(last)].placed_pos = static_cast<int>(pos);
+    placed_.pop_back();
+    rt.placed_pos = -1;
+  } else if (rt.state != TaskState::kPlaced && state == TaskState::kPlaced) {
+    rt.placed_pos = static_cast<int>(placed_.size());
+    placed_.push_back(t);
   }
-  return placed;
+  rt.state = state;
 }
 
 void JobManager::CollectPlacedStages(std::vector<std::pair<WorkerId, StageId>>* out) const {
@@ -943,48 +954,61 @@ void JobManager::CollectPlacedStages(std::vector<std::pair<WorkerId, StageId>>* 
 
 void JobManager::CollectStragglerCandidates(double now,
                                             std::vector<StragglerCandidate>* out) const {
+  const size_t first = out->size();
+  StragglerCandidate cand;
+  for (TaskId t : placed_) {
+    if (StragglerCandidateFor(t, now, &cand)) {
+      out->push_back(cand);
+    }
+  }
+  // Plan order: the scheduler's ranking is a stable sort, so ties keep it.
+  std::sort(out->begin() + static_cast<std::ptrdiff_t>(first), out->end(),
+            [](const StragglerCandidate& a, const StragglerCandidate& b) {
+              return a.task < b.task;
+            });
+}
+
+bool JobManager::StragglerCandidateFor(TaskId t, double now, StragglerCandidate* cand) const {
   if (spec_manager_ == nullptr || aborted_ || finished()) {
-    return;
+    return false;
   }
-  const SpeculationConfig& cfg = spec_manager_->config();
-  for (const TaskSpec& task : plan().tasks()) {
-    const TaskRuntime& rt = tasks_[static_cast<size_t>(task.id)];
-    if (rt.state != TaskState::kPlaced || rt.spec != nullptr || rt.primary_lost ||
-        rt.restored) {
-      // `restored`: the placement survived a scheduler crash, but its cancel
-      // token did not — a copy could never cancel it, so don't race one.
-      continue;
-    }
-    if (rt.worker == kInvalidId || cluster_->worker(rt.worker).failed()) {
-      continue;  // Lineage recovery owns this one.
-    }
-    const double elapsed = now - rt.timing.place_time;
-    if (!IsStraggler(cfg, stage_durations_[static_cast<size_t>(task.stage)], elapsed)) {
-      continue;
-    }
-    StragglerCandidate cand;
-    cand.job = job_->id;
-    cand.task = task.id;
-    cand.stage = task.stage;
-    cand.worker = rt.worker;
-    cand.elapsed = elapsed;
-    double total = 0.0;
-    for (size_t r = 0; r < kNumMonotaskResources; ++r) {
-      cand.bytes[r] = rt.usage.bytes[r];
-      total += rt.usage.bytes[r];
-    }
-    double done = 0.0;
-    for (MonotaskId m : task.monotasks) {
-      const MonotaskRuntime& mrt = monotasks_[static_cast<size_t>(m)];
-      if (mrt.done) {
-        done += mrt.input_bytes;
-      }
-    }
-    cand.memory = rt.allocated_memory;
-    cand.estimated_time_to_finish =
-        EstimatedTimeToFinish(elapsed, total > 0.0 ? done / total : 0.0);
-    out->push_back(cand);
+  const TaskRuntime& rt = tasks_[static_cast<size_t>(t)];
+  if (rt.state != TaskState::kPlaced || rt.spec != nullptr || rt.primary_lost || rt.restored) {
+    // `restored`: the placement survived a scheduler crash, but its cancel
+    // token did not — a copy could never cancel it, so don't race one.
+    return false;
   }
+  if (rt.worker == kInvalidId || cluster_->worker(rt.worker).failed()) {
+    return false;  // Lineage recovery owns this one.
+  }
+  const TaskSpec& task = plan().task(t);
+  const double elapsed = now - rt.timing.place_time;
+  if (!IsStraggler(spec_manager_->config(), stage_durations_[static_cast<size_t>(task.stage)],
+                   elapsed)) {
+    return false;
+  }
+  *cand = StragglerCandidate{};
+  cand->job = job_->id;
+  cand->task = t;
+  cand->stage = task.stage;
+  cand->worker = rt.worker;
+  cand->elapsed = elapsed;
+  double total = 0.0;
+  for (size_t r = 0; r < kNumMonotaskResources; ++r) {
+    cand->bytes[r] = rt.usage.bytes[r];
+    total += rt.usage.bytes[r];
+  }
+  double done = 0.0;
+  for (MonotaskId m : task.monotasks) {
+    const MonotaskRuntime& mrt = monotasks_[static_cast<size_t>(m)];
+    if (mrt.done) {
+      done += mrt.input_bytes;
+    }
+  }
+  cand->memory = rt.allocated_memory;
+  cand->estimated_time_to_finish =
+      EstimatedTimeToFinish(elapsed, total > 0.0 ? done / total : 0.0);
+  return true;
 }
 
 bool JobManager::PlaceSpeculative(TaskId t, WorkerId worker_id) {
@@ -1050,22 +1074,18 @@ void JobManager::SubmitSpecMonotask(TaskId t, int idx) {
   run.cancel = copy.cancel;
   // Inputs produced inside the copy come from its local buffer; everything
   // from outside the task is already committed metadata (parents completed).
-  const double input =
-      UsageEstimator::MonotaskInputBytes(*job_, m, cluster_->metadata(), &copy.outputs);
+  double input = 0.0;
+  if (mt.type == ResourceType::kNetwork) {
+    run.pulls = UsageEstimator::ResolvePulls(*job_, m, cluster_->metadata(), &copy.outputs,
+                                             copy.worker, &input);
+  } else {
+    input = UsageEstimator::MonotaskInputBytes(*job_, m, cluster_->metadata(), &copy.outputs);
+    run.work = mt.type == ResourceType::kCpu
+                   ? cop.cost.fixed_cpu_work + input * cop.cost.cpu_complexity
+                   : input;
+  }
   copy.input_bytes[static_cast<size_t>(idx)] = input;
   run.input_bytes = input;
-  switch (mt.type) {
-    case ResourceType::kCpu:
-      run.work = cop.cost.fixed_cpu_work + input * cop.cost.cpu_complexity;
-      break;
-    case ResourceType::kDisk:
-      run.work = input;
-      break;
-    case ResourceType::kNetwork:
-      run.pulls = UsageEstimator::ResolvePulls(*job_, m, cluster_->metadata(),
-                                               &copy.outputs, copy.worker);
-      break;
-  }
   if (use_intra_ordering_) {
     const double stage_major = static_cast<double>(spec.stage) * 1e15;
     run.intra_key = stage_major + (mt.type == ResourceType::kCpu ? -input : input);

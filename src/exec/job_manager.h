@@ -147,9 +147,14 @@ class JobManager {
   void ConfigureSpeculation(SpeculationManager* manager);
 
   // Appends this job's placed tasks that look like stragglers (elapsed time
-  // beyond the robust stage threshold) to `out`. The caller ranks them and
-  // decides, under the budget, which get a copy.
+  // beyond the robust stage threshold) to `out`, in task order. The caller
+  // ranks them and decides, under the budget, which get a copy. Walks only
+  // the placed tasks.
   void CollectStragglerCandidates(double now, std::vector<StragglerCandidate>* out) const;
+
+  // The straggler rule for one task: fills `cand` and returns true when
+  // task `t` is placed, eligible for a copy and past its stage's limit.
+  bool StragglerCandidateFor(TaskId t, double now, StragglerCandidate* cand) const;
 
   // Launches a speculative copy of placed task `t` on `worker`. The copy
   // runs the task's full monotask DAG there, buffering its outputs locally;
@@ -166,6 +171,8 @@ class JobManager {
 
   // Placed-but-unfinished tasks (the speculation budget's denominator).
   int CountPlacedTasks() const;
+  // Those tasks, in no particular order.
+  const std::vector<TaskId>& placed_tasks() const { return placed_; }
 
   // Appends one (worker, stage) pair per live execution of a placed task —
   // the primary (unless its worker was lost) and any speculative copy. The
@@ -292,6 +299,8 @@ class JobManager {
     // cancel token died with the old scheduler, so the execution can no
     // longer be cancelled cooperatively; speculation skips such tasks.
     bool restored = false;
+    // Index in placed_ while the task is placed, -1 otherwise.
+    int placed_pos = -1;
   };
   struct MonotaskRuntime {
     int remaining_deps = 0;
@@ -305,6 +314,8 @@ class JobManager {
   };
 
   const ExecutionPlan& plan() const { return job_->plan; }
+  // Every task state change goes through here, keeping placed_ exact.
+  void SetState(TaskId t, TaskState state);
   void MarkReady(TaskId t);
   void SubmitMonotask(MonotaskId m);
   // Builds the RunnableMonotask for a submitted monotask and hands it to the
@@ -360,6 +371,7 @@ class JobManager {
   std::vector<MonotaskRuntime> monotasks_;
   std::vector<StageRuntime> stages_;
   std::vector<TaskId> ready_unplaced_;
+  std::vector<TaskId> placed_;
   double ready_input_total_ = 0.0;
   std::array<double, kNumMonotaskResources> remaining_work_ = {0.0, 0.0, 0.0};
   double priority_ = 0.0;

@@ -1569,15 +1569,19 @@ UrsaScheduler::PlacementStats UrsaScheduler::RunPlacement() {
         }
       }
       const size_t deferred_stages = by_stage.size() - stages_gathered;
-      LOG(Warning) << "placement candidate budget exhausted (" << scored_pairs
-                   << " pairs) at job " << entry->job->id << "; deferring " << deferred_jobs
-                   << " job(s) with ready tasks and " << deferred_stages
-                   << " stage(s) of this job to next tick";
-      ++counters_.scoring_truncated;
-      if (tracer_ != nullptr) {
-        tracer_->AdmissionEvent(sim_->Now(), TraceEventKind::kScoringTruncated,
-                                entry->job->id, 0, static_cast<double>(scored_pairs),
-                                static_cast<double>(deferred_jobs));
+      // A cut after the last ready work defers nothing and is not reported;
+      // the cursor still moves past it.
+      if (deferred_jobs > 0 || deferred_stages > 0) {
+        LOG(Warning) << "placement candidate budget exhausted (" << scored_pairs
+                     << " pairs) at job " << entry->job->id << "; deferring " << deferred_jobs
+                     << " job(s) with ready tasks and " << deferred_stages
+                     << " stage(s) of this job to next tick";
+        ++counters_.scoring_truncated;
+        if (tracer_ != nullptr) {
+          tracer_->AdmissionEvent(sim_->Now(), TraceEventKind::kScoringTruncated,
+                                  entry->job->id, 0, static_cast<double>(scored_pairs),
+                                  static_cast<double>(deferred_jobs));
+        }
       }
     }
   }

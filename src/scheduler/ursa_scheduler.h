@@ -107,8 +107,8 @@ struct UrsaSchedulerConfig {
   // Guard against pathological candidate explosions in a single tick: at
   // most this many (task, worker) pairs are scored per placement pass. Jobs
   // past the budget are deferred to the next tick, the tick is counted in
-  // scheduler_counters().scoring_truncated, and the gather start rotates so
-  // deferred jobs are not starved.
+  // scheduler_counters().scoring_truncated (unless the cut left no ready work
+  // behind), and the gather start rotates so deferred jobs are not starved.
   size_t max_scored_pairs_per_tick = 2'000'000;
 };
 
@@ -213,7 +213,7 @@ class UrsaScheduler : public JobManagerListener {
     int64_t full_rebuilds = 0;      // Whole-cluster load snapshot rebuilds.
     int64_t bestworker_calls = 0;
     int64_t workers_scanned = 0;    // Scan entries examined across all calls.
-    int64_t scoring_truncated = 0;  // Ticks that hit max_scored_pairs_per_tick.
+    int64_t scoring_truncated = 0;  // Ticks whose pair budget deferred ready work.
   };
   SchedulerCounters scheduler_counters() const { return counters_; }
 

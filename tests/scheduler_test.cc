@@ -122,7 +122,7 @@ TEST(SchedulerTruncation, ReportsDeferredJobsWithReadyTasks) {
   Tracer tracer;
   scheduler.set_tracer(&tracer);
   TpchWorkloadConfig wc;
-  wc.num_jobs = 6;
+  wc.num_jobs = 10;
   wc.seed = 3;
   const Workload workload = MakeTpchWorkload(wc);
   const int num_jobs = static_cast<int>(workload.jobs.size());
@@ -172,6 +172,37 @@ TEST(SchedulerTruncation, ReportsDeferredJobsWithReadyTasks) {
   EXPECT_GT(checked, 20);
   EXPECT_GT(with_finished, 0);
   EXPECT_EQ(tracer.dropped(), 0u);
+}
+
+TEST_F(SchedulerTest, BudgetCutAfterLastReadyWorkIsNotTruncation) {
+  // One single-stage job under a one-pair budget: every tick's gather crosses
+  // the budget on the only ready stage, so nothing is left for the next tick
+  // and no tick counts as truncated.
+  UrsaSchedulerConfig sc;
+  sc.max_scored_pairs_per_tick = 1;
+  UrsaScheduler scheduler(&sim_, cluster_.get(), sc);
+  Tracer tracer;
+  scheduler.set_tracer(&tracer);
+  scheduler.SubmitJob(SimpleJob(0, 16, 2000.0, 1e9));
+  sim_.Run();
+  EXPECT_TRUE(scheduler.AllJobsFinished());
+  EXPECT_EQ(scheduler.scheduler_counters().scoring_truncated, 0);
+  for (const TraceEvent& e : tracer.Snapshot()) {
+    EXPECT_NE(e.kind, TraceEventKind::kScoringTruncated) << "at t=" << e.t;
+  }
+}
+
+TEST_F(SchedulerTest, BudgetCutThatDefersAJobIsTruncation) {
+  // The same budget with a second job ready: the cut defers it, and that
+  // tick counts.
+  UrsaSchedulerConfig sc;
+  sc.max_scored_pairs_per_tick = 1;
+  UrsaScheduler scheduler(&sim_, cluster_.get(), sc);
+  scheduler.SubmitJob(SimpleJob(0, 16, 2000.0, 1e9));
+  scheduler.SubmitJob(SimpleJob(1, 16, 2000.0, 1e9));
+  sim_.Run();
+  EXPECT_TRUE(scheduler.AllJobsFinished());
+  EXPECT_GT(scheduler.scheduler_counters().scoring_truncated, 0);
 }
 
 TEST(SrjfRank, SmallerRemainingRanksFirst) {

@@ -6,6 +6,9 @@
 // re-runs the task exactly once).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "src/common/rng.h"
 #include "src/exec/job_manager.h"
 #include "src/scheduler/ursa_scheduler.h"
 #include "src/spec/robust_stats.h"
@@ -42,6 +45,55 @@ TEST(RobustStats, MadIsZeroBelowTwoSamples) {
   s.Add(5.0);
   EXPECT_DOUBLE_EQ(s.Median(), 5.0);
   EXPECT_DOUBLE_EQ(s.Mad(), 0.0);
+}
+
+// MAD computed from scratch, independently of RobustSample.
+double FreshMad(std::vector<double> values) {
+  if (values.size() < 2) {
+    return 0.0;
+  }
+  auto median = [](std::vector<double>& v) {
+    std::sort(v.begin(), v.end());
+    const size_t n = v.size();
+    return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+  };
+  const double m = median(values);
+  for (double& v : values) {
+    v = v >= m ? v - m : m - v;
+  }
+  return median(values);
+}
+
+TEST(RobustStats, CachedMadMatchesFreshRecomputationAfterEveryAdd) {
+  // Queries arrive between some Adds and not others, so the cache is both
+  // reused and refreshed; ties (integer draws) exercise the even-size median.
+  SpeculationConfig config;
+  config.min_stage_samples = 3;
+  config.min_runtime = 0.2;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    RobustSample cached;
+    std::vector<double> values;
+    for (int i = 0; i < 120; ++i) {
+      const double v = rng.Bernoulli(0.5) ? static_cast<double>(rng.UniformInt(int64_t{1}, int64_t{6}))
+                                          : rng.LogNormal(0.0, 1.0);
+      cached.Add(v);
+      values.push_back(v);
+      if (rng.Bernoulli(0.3)) {
+        continue;  // No query: the next Add lands on a stale cache.
+      }
+      RobustSample fresh;
+      for (double x : values) {
+        fresh.Add(x);
+      }
+      ASSERT_EQ(cached.Mad(), FreshMad(values)) << "seed " << seed << " add " << i;
+      ASSERT_EQ(cached.Mad(), cached.Mad());
+      for (double elapsed : {0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0}) {
+        ASSERT_EQ(IsStraggler(config, cached, elapsed), IsStraggler(config, fresh, elapsed))
+            << "seed " << seed << " add " << i << " elapsed " << elapsed;
+      }
+    }
+  }
 }
 
 TEST(Detection, RequiresMinimumStageSamples) {
@@ -657,6 +709,80 @@ TEST_F(SpeculationSchedulerTest, SpeculationSurvivesWorkerFailureMidRace) {
           << "worker " << w;
     }
   }
+}
+
+TEST_F(SpeculationSchedulerTest, PlacedListMatchesFullScanThroughFailureAndCrash) {
+  // The job managers walk only their placed tasks for straggler detection
+  // and the speculation budget. A scan over every plan task, kept here as the
+  // oracle, must give the same placed set and the same candidates in the same
+  // order, through a worker failure (lineage resets) and a journaled
+  // scheduler crash (restored placements).
+  UrsaSchedulerConfig sc;
+  sc.spec.enabled = true;
+  sc.spec.min_runtime = 0.5;
+  sc.spec.min_stage_samples = 2;
+  sc.spec.slowdown_threshold = 1.3;
+  sc.ctrl.enabled = true;
+  sc.ctrl.checkpoint_interval = 1.0;
+  UrsaScheduler scheduler(&sim_, cluster_.get(), sc);
+  constexpr int kJobs = 4;
+  SubmitTpch(scheduler, kJobs, 13);
+  sim_.Schedule(1.0, [&] { cluster_->worker(0).set_speed_factor(0.05); });
+  sim_.Schedule(8.0, [&] { scheduler.FailWorker(2); });
+  sim_.Schedule(12.0, [&] { scheduler.InjectSchedulerCrash(3.0); });
+  int checked = 0;
+  int with_candidates = 0;
+  int64_t steps = 0;
+  while (sim_.Step()) {
+    if (++steps % 5 != 0) {
+      continue;
+    }
+    const double now = sim_.Now();
+    for (JobId id = 0; id < static_cast<JobId>(scheduler.job_records().size()); ++id) {
+      const JobManager* jm = scheduler.job_manager(id);
+      if (jm == nullptr) {
+        continue;  // Not admitted yet, or the scheduler is down.
+      }
+      std::vector<TaskId> placed;
+      std::vector<StragglerCandidate> expected;
+      for (TaskId t = 0; t < jm->total_tasks(); ++t) {
+        if (jm->task_state(t) == TaskState::kPlaced) {
+          placed.push_back(t);
+        }
+        StragglerCandidate cand;
+        if (jm->StragglerCandidateFor(t, now, &cand)) {
+          expected.push_back(cand);
+        }
+      }
+      std::vector<TaskId> listed = jm->placed_tasks();
+      std::sort(listed.begin(), listed.end());
+      ASSERT_EQ(listed, placed) << "job " << id << " at t=" << now;
+      ASSERT_EQ(jm->CountPlacedTasks(), static_cast<int>(placed.size()));
+      std::vector<StragglerCandidate> got;
+      jm->CollectStragglerCandidates(now, &got);
+      ASSERT_EQ(got.size(), expected.size()) << "job " << id << " at t=" << now;
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].task, expected[i].task);
+        EXPECT_EQ(got[i].stage, expected[i].stage);
+        EXPECT_EQ(got[i].worker, expected[i].worker);
+        EXPECT_EQ(got[i].elapsed, expected[i].elapsed);
+        EXPECT_EQ(got[i].estimated_time_to_finish, expected[i].estimated_time_to_finish);
+        EXPECT_EQ(got[i].memory, expected[i].memory);
+        for (int r = 0; r < kNumMonotaskResources; ++r) {
+          EXPECT_EQ(got[i].bytes[r], expected[i].bytes[r]);
+        }
+      }
+      ++checked;
+      with_candidates += expected.empty() ? 0 : 1;
+    }
+  }
+  EXPECT_TRUE(scheduler.AllJobsFinished());
+  const FaultCounters f = scheduler.fault_stats();
+  EXPECT_EQ(f.scheduler_crashes, 1);
+  EXPECT_GT(f.tasks_reset, 0);
+  EXPECT_GT(f.speculations_launched, 0);
+  EXPECT_GT(checked, 1000);
+  EXPECT_GT(with_candidates, 0);
 }
 
 }  // namespace

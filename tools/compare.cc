@@ -1,4 +1,7 @@
+// Runs one TPC-H batch under the Ursa and executor-model schemes and prints a
+// comparison table. Usage: compare [--jobs=N] (default 60).
 #include <cstdio>
+#include "src/common/flags.h"
 #include "src/common/table.h"
 #include "src/driver/experiment.h"
 #include "src/workloads/tpch.h"
@@ -6,7 +9,9 @@
 using namespace ursa;
 
 int main(int argc, char** argv) {
-  int jobs = argc > 1 ? atoi(argv[1]) : 60;
+  int jobs = 60;
+  FlagTable("compare", {{"jobs", &jobs, "TPC-H jobs to run under each scheme", 1}})
+      .Parse(argc, argv);
   TpchWorkloadConfig wc; wc.num_jobs = jobs; wc.seed = 42;
   Workload w = MakeTpchWorkload(wc);
   Table t({"scheme", "makespan", "avgJCT", "UEcpu", "SEcpu", "UEmem", "SEmem", "imb"});
